@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "stats/concentration.h"
-#include "stats/descriptive.h"
 
 namespace smokescreen {
 namespace core {
@@ -13,13 +12,18 @@ using util::Status;
 
 Result<std::pair<double, double>> SmokescreenMeanEstimator::ConfidenceBounds(
     std::span<const double> sample, int64_t population, double delta) {
-  if (sample.empty()) return Status::InvalidArgument("empty sample");
-  if (population < static_cast<int64_t>(sample.size())) {
+  SMK_ASSIGN_OR_RETURN(stats::Summary summary, stats::Summarize(sample));
+  return ConfidenceBounds(summary, population, delta);
+}
+
+Result<std::pair<double, double>> SmokescreenMeanEstimator::ConfidenceBounds(
+    const stats::Summary& summary, int64_t population, double delta) {
+  if (summary.count == 0) return Status::InvalidArgument("empty sample");
+  if (population < summary.count) {
     return Status::InvalidArgument("population smaller than sample");
   }
   if (delta <= 0.0 || delta >= 1.0) return Status::InvalidArgument("delta must be in (0,1)");
 
-  SMK_ASSIGN_OR_RETURN(stats::Summary summary, stats::Summarize(sample));
   double radius = stats::HoeffdingSerflingRadius(summary.range, summary.count, population, delta);
   double abs_mean = std::abs(summary.mean);
   double ub = abs_mean + radius;
@@ -48,8 +52,14 @@ Estimate SmokescreenMeanEstimator::FromBounds(double lb, double ub, double sign)
 
 Result<Estimate> SmokescreenMeanEstimator::EstimateMean(std::span<const double> sample,
                                                         int64_t population, double delta) const {
-  SMK_ASSIGN_OR_RETURN(auto bounds, ConfidenceBounds(sample, population, delta));
   SMK_ASSIGN_OR_RETURN(stats::Summary summary, stats::Summarize(sample));
+  return EstimateFromSummary(summary, population, delta);
+}
+
+Result<Estimate> SmokescreenMeanEstimator::EstimateFromSummary(const stats::Summary& summary,
+                                                               int64_t population,
+                                                               double delta) {
+  SMK_ASSIGN_OR_RETURN(auto bounds, ConfidenceBounds(summary, population, delta));
   double sign = summary.mean < 0.0 ? -1.0 : 1.0;
   return FromBounds(bounds.first, bounds.second, sign);
 }

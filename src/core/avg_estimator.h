@@ -16,6 +16,7 @@
 #define SMOKESCREEN_CORE_AVG_ESTIMATOR_H_
 
 #include "core/estimate.h"
+#include "stats/descriptive.h"
 
 namespace smokescreen {
 namespace core {
@@ -26,13 +27,22 @@ class SmokescreenMeanEstimator : public MeanEstimator {
 
   const std::string& name() const override { return name_; }
 
+  /// Summarizes the sample once and estimates from the summary.
   util::Result<Estimate> EstimateMean(std::span<const double> sample, int64_t population,
                                       double delta) const override;
 
+  /// The estimate from a summary of the sample (count, mean, range): what
+  /// EstimateMean computes, for callers that keep the summary of a growing
+  /// sample instead of re-reading it.
+  static util::Result<Estimate> EstimateFromSummary(const stats::Summary& summary,
+                                                    int64_t population, double delta);
+
   /// Exposed interval construction for tests and for the repair algebra:
-  /// returns {LB, UB} for |mu| given the sample.
+  /// returns {LB, UB} for |mu| given the sample, or given its summary.
   static util::Result<std::pair<double, double>> ConfidenceBounds(
       std::span<const double> sample, int64_t population, double delta);
+  static util::Result<std::pair<double, double>> ConfidenceBounds(
+      const stats::Summary& summary, int64_t population, double delta);
 
   /// The harmonic-midpoint mapping from an interval to (Y_approx, err_b);
   /// shared with the EBGS baseline, which uses the same output construction

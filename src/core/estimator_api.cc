@@ -10,53 +10,70 @@ namespace core {
 using util::Result;
 using util::Status;
 
-Result<EstimationResult> EstimateFromOutputs(const query::QuerySpec& spec,
-                                             std::span<const double> outputs,
-                                             int64_t eligible_population,
-                                             int64_t original_population, int resolution,
-                                             double delta, EstimationScratch* scratch) {
+void SampleStatistics::Extend(std::span<const double> tail, EstimationScratch* scratch) {
+  if (query::UsesRelativeErrorMetric(spec_.aggregate)) {
+    values_.Extend(tail);
+    if (spec_.aggregate == query::AggregateFunction::kVar) {
+      for (double v : tail) squares_.Add(v * v);
+    }
+    return;
+  }
+  std::vector<double> local;
+  distribution_.Extend(tail, scratch != nullptr ? scratch->sort_buffer : local);
+}
+
+int64_t SampleStatistics::size() const {
+  return query::UsesRelativeErrorMetric(spec_.aggregate) ? values_.count()
+                                                         : distribution_.total_count();
+}
+
+Result<EstimationResult> EstimateFromStatistics(const SampleStatistics& statistics,
+                                                int64_t eligible_population,
+                                                int64_t original_population, int resolution,
+                                                double delta) {
+  const query::QuerySpec& spec = statistics.spec_;
   SMK_RETURN_IF_ERROR(spec.Validate());
-  if (outputs.empty()) return Status::InvalidArgument("no outputs to estimate from");
+  if (statistics.size() == 0) return Status::InvalidArgument("no outputs to estimate from");
 
   EstimationResult result;
-  result.sample_size = static_cast<int64_t>(outputs.size());
+  result.sample_size = statistics.size();
   result.eligible_population = eligible_population;
   result.original_population = original_population;
   result.resolution = resolution;
-  result.sample_outputs.assign(outputs.begin(), outputs.end());
 
   if (spec.aggregate == query::AggregateFunction::kVar) {
-    SmokescreenVarianceEstimator estimator;
     SMK_ASSIGN_OR_RETURN(result.estimate,
-                         estimator.EstimateVariance(result.sample_outputs, eligible_population,
-                                                    delta));
+                         SmokescreenVarianceEstimator::EstimateFromSummaries(
+                             statistics.values_.ToSummary(), statistics.squares_.ToSummary(),
+                             eligible_population, delta));
   } else if (query::IsMeanFamily(spec.aggregate)) {
-    SmokescreenMeanEstimator estimator;
-    SMK_ASSIGN_OR_RETURN(Estimate mean_est, estimator.EstimateMean(result.sample_outputs,
-                                                                   eligible_population, delta));
-    result.estimate = mean_est;
+    SMK_ASSIGN_OR_RETURN(result.estimate,
+                         SmokescreenMeanEstimator::EstimateFromSummary(
+                             statistics.values_.ToSummary(), eligible_population, delta));
     if (spec.aggregate != query::AggregateFunction::kAvg) {
       // SUM/COUNT (§3.2.2–3.2.3): Y_approx scales by the known video length
       // N; the relative-error bound is unchanged.
       result.estimate.y_approx *= static_cast<double>(original_population);
     }
   } else {
-    SmokescreenQuantileEstimator estimator;
     bool is_max = spec.aggregate == query::AggregateFunction::kMax;
-    if (scratch != nullptr) {
-      SMK_ASSIGN_OR_RETURN(
-          result.estimate,
-          estimator.EstimateQuantileWithScratch(result.sample_outputs, eligible_population,
-                                                spec.EffectiveQuantileR(), is_max, delta,
-                                                scratch->sort_buffer));
-    } else {
-      SMK_ASSIGN_OR_RETURN(
-          result.estimate,
-          estimator.EstimateQuantile(result.sample_outputs, eligible_population,
-                                     spec.EffectiveQuantileR(), is_max, delta));
-    }
+    SMK_ASSIGN_OR_RETURN(result.estimate,
+                         SmokescreenQuantileEstimator::EstimateFromDistribution(
+                             statistics.distribution_, eligible_population,
+                             spec.EffectiveQuantileR(), is_max, delta));
   }
   return result;
+}
+
+Result<EstimationResult> EstimateFromOutputs(const query::QuerySpec& spec,
+                                             std::span<const double> outputs,
+                                             int64_t eligible_population,
+                                             int64_t original_population, int resolution,
+                                             double delta, EstimationScratch* scratch) {
+  SampleStatistics statistics(spec);
+  statistics.Extend(outputs, scratch);
+  return EstimateFromStatistics(statistics, eligible_population, original_population,
+                                resolution, delta);
 }
 
 Result<EstimationResult> EstimateFromFrames(query::FrameOutputSource& source,

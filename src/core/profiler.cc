@@ -1,11 +1,8 @@
 #include "core/profiler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <map>
-#include <mutex>
 #include <span>
 
 #include "stats/sampling.h"
@@ -95,12 +92,15 @@ util::Status GenerateGroupPoints(query::FrameOutputSource& source,
   // The group's fractions share one permutation, so each candidate's sample
   // is a prefix of the previous candidate's sample plus a tail. The column
   // below accumulates outputs for the longest prefix fetched so far; each
-  // candidate requests ONLY its tail as a batch extension and estimates from
-  // a prefix view — no per-frame calls, no re-materialized vectors.
+  // candidate requests ONLY its tail as a batch extension, and the
+  // estimators' statistics fold in only that tail. Sample sizes never shrink
+  // along the ascending fractions, so the column and the statistics always
+  // hold exactly the current candidate's sample, and every output is read
+  // once per group rather than once per prefix.
   query::OutputColumn column;
-  // One scratch per group walk: the quantile path sorts every prefix into
-  // this buffer, so the growing column stops costing an allocation per
-  // profile point.
+  SampleStatistics statistics(spec);
+  // One scratch per group walk: the quantile path sorts every tail into this
+  // buffer.
   EstimationScratch scratch;
   double prev_err = std::numeric_limits<double>::infinity();
   for (const InterventionSet& candidate : group) {
@@ -108,16 +108,17 @@ util::Status GenerateGroupPoints(query::FrameOutputSource& source,
     n = std::min(n, eligible_population);
     int resolution = candidate.EffectiveResolution(model_max);
     if (static_cast<size_t>(n) > column.size()) {
-      std::span<const int64_t> extension(eligible.data() + column.size(),
-                                         static_cast<size_t>(n) - column.size());
+      const size_t folded = column.size();
+      std::span<const int64_t> extension(eligible.data() + folded,
+                                         static_cast<size_t>(n) - folded);
       SMK_RETURN_IF_ERROR(source.AppendOutputs(spec, extension, resolution,
                                                candidate.contrast_scale, column));
+      statistics.Extend(column.output_span().subspan(folded), &scratch);
     }
-    SMK_ASSIGN_OR_RETURN(
-        EstimationResult result,
-        EstimateFromOutputs(spec, column.output_prefix(static_cast<size_t>(n)),
-                            eligible_population, original_population, resolution,
-                            options.delta, &scratch));
+    SMK_ASSIGN_OR_RETURN(EstimationResult result,
+                         EstimateFromStatistics(statistics, eligible_population,
+                                                original_population, resolution,
+                                                options.delta));
 
     ProfilePoint point;
     point.interventions = candidate;

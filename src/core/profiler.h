@@ -140,15 +140,14 @@ class Profiler {
   void set_metrics_registry(util::MetricsRegistry* registry);
 
   /// Runs the hypercube-group walk on a SHARED executor instead of a pool
-  /// constructed per Generate() call. Completion is tracked by a private
-  /// latch over this call's own tasks — never ThreadPool::Wait(), which
-  /// would also wait on unrelated users of the pool (other sessions'
-  /// profile runs in the serving layer). The pool is borrowed, not owned;
-  /// it must outlive the profiler, and Generate() must not itself be called
-  /// from one of the pool's worker tasks (the caller blocks on the latch —
-  /// a worker doing that could deadlock the pool against itself). nullptr
-  /// (the default) restores the private per-call pool sized by
-  /// ProfilerOptions::num_threads. Results are bit-identical either way.
+  /// constructed per Generate() call. The walk is one ParallelFor over this
+  /// call's groups: the calling thread works on its own chunks and returns
+  /// when they are done, never waiting on other users of the pool (other
+  /// sessions' profile runs in the serving layer). Called from one of the
+  /// pool's own workers, the walk runs inline. The pool is borrowed, not
+  /// owned, and must outlive the profiler. nullptr (the default) restores
+  /// the private per-call pool sized by ProfilerOptions::num_threads.
+  /// Results are bit-identical either way.
   void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
 
  private:

@@ -14,9 +14,8 @@
 #ifndef SMOKESCREEN_CORE_QUANTILE_ESTIMATOR_H_
 #define SMOKESCREEN_CORE_QUANTILE_ESTIMATOR_H_
 
-#include <vector>
-
 #include "core/estimate.h"
+#include "stats/empirical.h"
 
 namespace smokescreen {
 namespace core {
@@ -27,16 +26,16 @@ class SmokescreenQuantileEstimator : public QuantileEstimator {
 
   const std::string& name() const override { return name_; }
 
+  /// Builds the sample's distribution and estimates from it.
   util::Result<Estimate> EstimateQuantile(std::span<const double> sample, int64_t population,
                                           double r, bool is_max, double delta) const override;
 
-  /// As EstimateQuantile, but sorts the sample inside `scratch` so looping
-  /// callers (the profiler estimates every profile point of a group from a
-  /// growing sample prefix) stop reallocating the sort buffer per point.
-  util::Result<Estimate> EstimateQuantileWithScratch(std::span<const double> sample,
-                                                     int64_t population, double r, bool is_max,
-                                                     double delta,
-                                                     std::vector<double>& scratch) const;
+  /// The estimate from the sample's distinct-value distribution: what
+  /// EstimateQuantile computes, for callers that grow the distribution with
+  /// their sample instead of re-sorting it.
+  static util::Result<Estimate> EstimateFromDistribution(
+      const stats::EmpiricalDistribution& distribution, int64_t population, double r,
+      bool is_max, double delta);
 
  private:
   std::string name_;

@@ -5,9 +5,6 @@
 #include <limits>
 #include <span>
 
-#include "core/avg_estimator.h"
-#include "core/quantile_estimator.h"
-#include "core/var_estimator.h"
 #include "stats/empirical.h"
 #include "stats/sampling.h"
 
@@ -16,32 +13,6 @@ namespace core {
 
 using util::Result;
 using util::Status;
-
-namespace {
-
-/// Computes the correction set's own estimate from its outputs.
-Result<Estimate> EstimateCorrection(const query::QuerySpec& spec,
-                                    std::span<const double> outputs, int64_t population,
-                                    double delta) {
-  if (spec.aggregate == query::AggregateFunction::kVar) {
-    SmokescreenVarianceEstimator estimator;
-    return estimator.EstimateVariance(outputs, population, delta);
-  }
-  if (query::IsMeanFamily(spec.aggregate)) {
-    SmokescreenMeanEstimator estimator;
-    SMK_ASSIGN_OR_RETURN(Estimate est, estimator.EstimateMean(outputs, population, delta));
-    if (spec.aggregate != query::AggregateFunction::kAvg) {
-      est.y_approx *= static_cast<double>(population);
-    }
-    return est;
-  }
-  SmokescreenQuantileEstimator estimator;
-  bool is_max = spec.aggregate == query::AggregateFunction::kMax;
-  return estimator.EstimateQuantile(outputs, population, spec.EffectiveQuantileR(), is_max,
-                                    delta);
-}
-
-}  // namespace
 
 Result<CorrectionSet> BuildCorrectionSetFromFrames(query::FrameOutputSource& source,
                                                    const query::QuerySpec& spec,
@@ -55,10 +26,14 @@ Result<CorrectionSet> BuildCorrectionSetFromFrames(query::FrameOutputSource& sou
   CorrectionSet correction;
   correction.size = static_cast<int64_t>(frames.size());
   correction.population = population;
-  SMK_ASSIGN_OR_RETURN(correction.outputs,
-                       source.Outputs(spec, frames, source.detector().max_resolution(), 1.0));
-  SMK_ASSIGN_OR_RETURN(correction.estimate,
-                       EstimateCorrection(spec, correction.outputs, population, delta));
+  const int resolution = source.detector().max_resolution();
+  SMK_ASSIGN_OR_RETURN(correction.outputs, source.Outputs(spec, frames, resolution, 1.0));
+  // The correction set is a sample of the whole video (eligible population =
+  // original population = N).
+  SMK_ASSIGN_OR_RETURN(EstimationResult result,
+                       EstimateFromOutputs(spec, correction.outputs, population, population,
+                                           resolution, delta));
+  correction.estimate = result.estimate;
   return correction;
 }
 
@@ -117,22 +92,28 @@ Result<CorrectionSizing> DetermineCorrectionSetSize(query::FrameOutputSource& so
   CorrectionSizing sizing;
   double prev_err = std::numeric_limits<double>::infinity();
   int resolution = source.detector().max_resolution();
-  // Each step extends the previous prefix; request only the new tail as a
-  // batch extension of the shared output column.
+  // Each step extends the previous prefix: request only the new tail as a
+  // batch extension of the shared output column, and fold only that tail
+  // into the estimators' statistics.
   query::OutputColumn column;
+  SampleStatistics statistics(spec);
+  EstimationScratch scratch;
   for (int64_t m = step; m <= limit; m += step) {
-    std::span<const int64_t> extension(permutation.data() + column.size(),
-                                       static_cast<size_t>(m) - column.size());
+    const size_t folded = column.size();
+    std::span<const int64_t> extension(permutation.data() + folded,
+                                       static_cast<size_t>(m) - folded);
     SMK_RETURN_IF_ERROR(source.AppendOutputs(spec, extension, resolution, 1.0, column));
-    SMK_ASSIGN_OR_RETURN(Estimate est, EstimateCorrection(spec, column.output_prefix(
-                                                              static_cast<size_t>(m)),
-                                                          population, delta));
+    statistics.Extend(column.output_span().subspan(folded), &scratch);
+    SMK_ASSIGN_OR_RETURN(EstimationResult result,
+                         EstimateFromStatistics(statistics, population, population, resolution,
+                                                delta));
+    const double err_v = result.estimate.err_b;
     double fraction = static_cast<double>(m) / static_cast<double>(population);
-    sizing.curve.emplace_back(fraction, est.err_b);
+    sizing.curve.emplace_back(fraction, err_v);
     sizing.chosen_size = m;
     sizing.chosen_fraction = fraction;
-    if (std::abs(prev_err - est.err_b) < plateau_tolerance) break;  // The elbow.
-    prev_err = est.err_b;
+    if (std::abs(prev_err - err_v) < plateau_tolerance) break;  // The elbow.
+    prev_err = err_v;
   }
   return sizing;
 }

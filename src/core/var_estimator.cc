@@ -5,7 +5,6 @@
 
 #include "core/avg_estimator.h"
 #include "stats/concentration.h"
-#include "stats/descriptive.h"
 
 namespace smokescreen {
 namespace core {
@@ -33,28 +32,35 @@ std::pair<double, double> SmokescreenVarianceEstimator::VarianceBounds(double me
 Result<Estimate> SmokescreenVarianceEstimator::EstimateVariance(std::span<const double> sample,
                                                                 int64_t population,
                                                                 double delta) const {
-  if (sample.empty()) return Status::InvalidArgument("empty sample");
-  if (population < static_cast<int64_t>(sample.size())) {
-    return Status::InvalidArgument("population smaller than sample");
-  }
-  if (delta <= 0.0 || delta >= 1.0) return Status::InvalidArgument("delta must be in (0,1)");
-
   std::vector<double> squares;
   squares.reserve(sample.size());
   for (double v : sample) squares.push_back(v * v);
 
   SMK_ASSIGN_OR_RETURN(stats::Summary s_x, stats::Summarize(sample));
   SMK_ASSIGN_OR_RETURN(stats::Summary s_x2, stats::Summarize(squares));
+  return EstimateFromSummaries(s_x, s_x2, population, delta);
+}
+
+Result<Estimate> SmokescreenVarianceEstimator::EstimateFromSummaries(const stats::Summary& values,
+                                                                     const stats::Summary& squares,
+                                                                     int64_t population,
+                                                                     double delta) {
+  if (values.count == 0) return Status::InvalidArgument("empty sample");
+  if (squares.count != values.count) {
+    return Status::InvalidArgument("summaries of the values and their squares differ in size");
+  }
+  if (population < values.count) return Status::InvalidArgument("population smaller than sample");
+  if (delta <= 0.0 || delta >= 1.0) return Status::InvalidArgument("delta must be in (0,1)");
 
   // Split the failure budget across the two simultaneous intervals.
   double half_delta = delta / 2.0;
   double radius_x =
-      stats::HoeffdingSerflingRadius(s_x.range, s_x.count, population, half_delta);
+      stats::HoeffdingSerflingRadius(values.range, values.count, population, half_delta);
   double radius_x2 =
-      stats::HoeffdingSerflingRadius(s_x2.range, s_x2.count, population, half_delta);
+      stats::HoeffdingSerflingRadius(squares.range, squares.count, population, half_delta);
 
-  auto [var_lb, var_ub] = VarianceBounds(s_x.mean - radius_x, s_x.mean + radius_x,
-                                         s_x2.mean - radius_x2, s_x2.mean + radius_x2);
+  auto [var_lb, var_ub] = VarianceBounds(values.mean - radius_x, values.mean + radius_x,
+                                         squares.mean - radius_x2, squares.mean + radius_x2);
   return SmokescreenMeanEstimator::FromBounds(var_lb, var_ub, /*sign=*/1.0);
 }
 

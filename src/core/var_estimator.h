@@ -16,6 +16,7 @@
 #define SMOKESCREEN_CORE_VAR_ESTIMATOR_H_
 
 #include "core/estimate.h"
+#include "stats/descriptive.h"
 
 namespace smokescreen {
 namespace core {
@@ -26,6 +27,13 @@ class SmokescreenVarianceEstimator {
   /// drawn without replacement. Same contract as MeanEstimator::EstimateMean.
   util::Result<Estimate> EstimateVariance(std::span<const double> sample, int64_t population,
                                           double delta) const;
+
+  /// The estimate from summaries of the sample and of its squares: what
+  /// EstimateVariance computes, for callers that keep both summaries of a
+  /// growing sample instead of re-reading it.
+  static util::Result<Estimate> EstimateFromSummaries(const stats::Summary& values,
+                                                      const stats::Summary& squares,
+                                                      int64_t population, double delta);
 
   /// The interval-arithmetic core, exposed for tests: given simultaneous
   /// intervals for E[X] and E[X^2], returns {VarLB, VarUB}.

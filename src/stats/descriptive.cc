@@ -11,17 +11,8 @@ using util::Status;
 Result<Summary> Summarize(std::span<const double> values) {
   if (values.empty()) return Status::InvalidArgument("cannot summarize empty sample");
   WelfordAccumulator acc;
-  for (double v : values) acc.Add(v);
-  Summary s;
-  s.count = acc.count();
-  s.mean = acc.mean();
-  s.variance = acc.variance();
-  s.stddev = std::sqrt(s.variance);
-  s.min = acc.min();
-  s.max = acc.max();
-  s.range = acc.range();
-  s.sum = acc.mean() * static_cast<double>(acc.count());
-  return s;
+  acc.Extend(values);
+  return acc.ToSummary();
 }
 
 void WelfordAccumulator::Add(double value) {
@@ -36,6 +27,23 @@ void WelfordAccumulator::Add(double value) {
   double delta = value - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (value - mean_);
+}
+
+void WelfordAccumulator::Extend(std::span<const double> values) {
+  for (double v : values) Add(v);
+}
+
+Summary WelfordAccumulator::ToSummary() const {
+  Summary s;
+  s.count = count_;
+  s.mean = mean_;
+  s.variance = variance();
+  s.stddev = std::sqrt(s.variance);
+  s.min = min_;
+  s.max = max_;
+  s.range = range();
+  s.sum = mean_ * static_cast<double>(count_);
+  return s;
 }
 
 double WelfordAccumulator::variance() const {

@@ -25,7 +25,8 @@ struct Summary {
   double sum = 0.0;
 };
 
-/// Computes a Summary. Error when `values` is empty.
+/// Computes a Summary: folds `values` into one WelfordAccumulator, then
+/// snapshots it. Error when `values` is empty.
 util::Result<Summary> Summarize(std::span<const double> values);
 /// Convenience overload so call sites can keep passing braced lists
 /// (`Summarize({1.0, 2.0})`), which cannot bind to a span directly.
@@ -35,9 +36,14 @@ inline util::Result<Summary> Summarize(std::initializer_list<double> values) {
 
 /// Streaming mean/variance accumulation (Welford). Used where outputs arrive
 /// incrementally, e.g. the reuse strategy that grows a sample in place.
+/// Folding a sample chunk by chunk gives the same doubles as folding it at
+/// once: the same values meet the same operations in the same order, so
+/// ToSummary() after any chunking is bit-identical to Summarize(sample).
 class WelfordAccumulator {
  public:
   void Add(double value);
+  /// Adds every value of `values`, in order.
+  void Extend(std::span<const double> values);
 
   int64_t count() const { return count_; }
   double mean() const { return mean_; }
@@ -46,6 +52,8 @@ class WelfordAccumulator {
   double min() const { return min_; }
   double max() const { return max_; }
   double range() const { return count_ > 0 ? max_ - min_ : 0.0; }
+  /// Summary of every value added so far (all fields 0 when none were).
+  Summary ToSummary() const;
 
  private:
   int64_t count_ = 0;

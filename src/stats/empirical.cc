@@ -10,46 +10,64 @@ using util::Result;
 using util::Status;
 
 Result<EmpiricalDistribution> EmpiricalDistribution::Create(std::span<const double> values) {
-  std::vector<double> scratch;
-  return Create(values, scratch);
-}
-
-Result<EmpiricalDistribution> EmpiricalDistribution::Create(std::span<const double> values,
-                                                            std::vector<double>& scratch) {
   if (values.empty()) {
     return Status::InvalidArgument("cannot build empirical distribution from empty sample");
   }
+  EmpiricalDistribution dist;
+  std::vector<double> scratch;
+  dist.Extend(values, scratch);
+  return dist;
+}
+
+void EmpiricalDistribution::Extend(std::span<const double> values, std::vector<double>& scratch) {
+  if (values.empty()) return;
   scratch.assign(values.begin(), values.end());
   std::sort(scratch.begin(), scratch.end());
 
-  // Count the runs first so every vector is reserved exactly once — distinct
-  // counts are usually far below the sample size (integer-valued detector
-  // outputs), and push_back growth would otherwise reallocate repeatedly.
-  size_t num_distinct = 0;
-  for (size_t i = 0; i < scratch.size(); ++num_distinct) {
+  // Count the new runs first so the merged vectors are reserved exactly
+  // once: distinct counts are usually far below the sample size
+  // (integer-valued detector outputs).
+  size_t new_runs = 0;
+  for (size_t i = 0; i < scratch.size(); ++new_runs) {
     size_t j = i;
     while (j < scratch.size() && scratch[j] == scratch[i]) ++j;
     i = j;
   }
+  std::vector<double> distinct;
+  std::vector<int64_t> counts;
+  distinct.reserve(distinct_.size() + new_runs);
+  counts.reserve(distinct_.size() + new_runs);
 
-  EmpiricalDistribution dist;
-  dist.total_count_ = static_cast<int64_t>(scratch.size());
-  dist.distinct_.reserve(num_distinct);
-  dist.counts_.reserve(num_distinct);
+  // Both sides are sorted, so one forward pass merges them; a run whose
+  // value is already distinct adds to that value's count.
+  size_t old = 0;
   for (size_t i = 0; i < scratch.size();) {
     size_t j = i;
     while (j < scratch.size() && scratch[j] == scratch[i]) ++j;
-    dist.distinct_.push_back(scratch[i]);
-    dist.counts_.push_back(static_cast<int64_t>(j - i));
+    for (; old < distinct_.size() && distinct_[old] < scratch[i]; ++old) {
+      distinct.push_back(distinct_[old]);
+      counts.push_back(counts_[old]);
+    }
+    int64_t count = static_cast<int64_t>(j - i);
+    if (old < distinct_.size() && distinct_[old] == scratch[i]) count += counts_[old++];
+    distinct.push_back(scratch[i]);
+    counts.push_back(count);
     i = j;
   }
-  dist.cum_freq_.resize(dist.distinct_.size());
+  distinct.insert(distinct.end(), distinct_.begin() + static_cast<std::ptrdiff_t>(old),
+                  distinct_.end());
+  counts.insert(counts.end(), counts_.begin() + static_cast<std::ptrdiff_t>(old),
+                counts_.end());
+  distinct_.swap(distinct);
+  counts_.swap(counts);
+  total_count_ += static_cast<int64_t>(values.size());
+
+  cum_freq_.resize(distinct_.size());
   int64_t running = 0;
-  for (size_t i = 0; i < dist.counts_.size(); ++i) {
-    running += dist.counts_[i];
-    dist.cum_freq_[i] = static_cast<double>(running) / static_cast<double>(dist.total_count_);
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    running += counts_[i];
+    cum_freq_[i] = static_cast<double>(running) / static_cast<double>(total_count_);
   }
-  return dist;
 }
 
 double EmpiricalDistribution::Frequency(int64_t i) const {

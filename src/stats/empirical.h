@@ -21,20 +21,25 @@ namespace stats {
 
 class EmpiricalDistribution {
  public:
-  /// Builds the distribution from raw values. Error when empty.
+  /// An empty distribution (total_count() == 0) to grow with Extend. Until
+  /// then only total_count() and num_distinct() may be called.
+  EmpiricalDistribution() = default;
+
+  /// Builds the distribution from raw values: one Extend of an empty
+  /// distribution. Error when empty.
   static util::Result<EmpiricalDistribution> Create(std::span<const double> values);
   static util::Result<EmpiricalDistribution> Create(std::initializer_list<double> values) {
     return Create(std::span<const double>(values.begin(), values.size()));
   }
 
-  /// As Create, but sorts inside `scratch` instead of a fresh allocation.
-  /// Callers that build distributions in a loop over growing samples (the
-  /// profiler evaluates a quantile estimate at every profile point of a
-  /// group) reuse one buffer: after the first iteration reaches capacity,
-  /// later builds allocate nothing for the sort. `scratch` is overwritten;
-  /// its capacity is the only thing reused.
-  static util::Result<EmpiricalDistribution> Create(std::span<const double> values,
-                                                    std::vector<double>& scratch);
+  /// Adds `values` to the multiset: sorts them inside `scratch` and merges
+  /// their runs into the distinct values, then recomputes the cumulative
+  /// frequencies. The result depends only on the multiset (counts are
+  /// integers; each cumulative frequency is an integer running count over
+  /// the total), so a sample grown tail by tail gives exactly the
+  /// distribution Create builds from the whole sample. `scratch` is
+  /// overwritten; callers that extend in a loop reuse its capacity.
+  void Extend(std::span<const double> values, std::vector<double>& scratch);
 
   int64_t total_count() const { return total_count_; }
   int64_t num_distinct() const { return static_cast<int64_t>(distinct_.size()); }
@@ -81,8 +86,6 @@ class EmpiricalDistribution {
   double max_value() const { return distinct_.back(); }
 
  private:
-  EmpiricalDistribution() = default;
-
   std::vector<double> distinct_;   // Sorted ascending.
   std::vector<int64_t> counts_;    // Parallel multiplicities.
   std::vector<double> cum_freq_;   // Parallel cumulative frequencies.

@@ -8,12 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
 #include <memory>
+#include <optional>
+#include <tuple>
 #include <vector>
 
 #include "core/candidate_design.h"
+#include "core/estimator_api.h"
 #include "detect/models.h"
 #include "query/output_store.h"
+#include "stats/sampling.h"
 #include "video/presets.h"
 
 namespace smokescreen {
@@ -24,6 +32,26 @@ using degrade::InterventionSet;
 using video::ClassSet;
 using video::ObjectClass;
 using video::ScenePreset;
+
+void ExpectBitIdentical(const std::vector<ProfilePoint>& a, const std::vector<ProfilePoint>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    const ProfilePoint& pa = a[i];
+    const ProfilePoint& pb = b[i];
+    EXPECT_TRUE(pa.interventions == pb.interventions) << "point " << i;
+    // Exact equality on purpose: determinism means the same doubles, not
+    // merely close ones.
+    EXPECT_EQ(pa.err_bound, pb.err_bound) << "point " << i;
+    EXPECT_EQ(pa.err_uncorrected, pb.err_uncorrected) << "point " << i;
+    EXPECT_EQ(pa.y_approx, pb.y_approx) << "point " << i;
+    EXPECT_EQ(pa.repaired, pb.repaired) << "point " << i;
+    EXPECT_EQ(pa.sample_size, pb.sample_size) << "point " << i;
+  }
+}
+
+void ExpectBitIdentical(const Profile& a, const Profile& b) {
+  ExpectBitIdentical(a.points, b.points);
+}
 
 class ParallelProfilerTest : public ::testing::Test {
  protected:
@@ -95,22 +123,6 @@ class ParallelProfilerTest : public ::testing::Test {
     auto profile = profiler.Generate(MultiGroupCandidates(), rng);
     last_report_ = profiler.last_report();
     return profile;
-  }
-
-  static void ExpectBitIdentical(const Profile& a, const Profile& b) {
-    ASSERT_EQ(a.points.size(), b.points.size());
-    for (size_t i = 0; i < a.points.size(); ++i) {
-      const ProfilePoint& pa = a.points[i];
-      const ProfilePoint& pb = b.points[i];
-      EXPECT_TRUE(pa.interventions == pb.interventions) << "point " << i;
-      // Exact equality on purpose: determinism means the same doubles, not
-      // merely close ones.
-      EXPECT_EQ(pa.err_bound, pb.err_bound) << "point " << i;
-      EXPECT_EQ(pa.err_uncorrected, pb.err_uncorrected) << "point " << i;
-      EXPECT_EQ(pa.y_approx, pb.y_approx) << "point " << i;
-      EXPECT_EQ(pa.repaired, pb.repaired) << "point " << i;
-      EXPECT_EQ(pa.sample_size, pb.sample_size) << "point " << i;
-    }
   }
 
   detect::SimYoloV4 yolo_;
@@ -224,6 +236,180 @@ TEST_F(ParallelProfilerTest, ZeroThreadsResolvesToHardwareConcurrency) {
   ASSERT_TRUE(profile.ok());
   EXPECT_GE(last_report_.num_threads, 1);
 }
+
+// ---------------------------------------------------------------------------
+// The group walk and the correction-set sizing fold only each prefix's new
+// tail into the estimators' statistics. Both must equal a reference that
+// fetches every whole prefix afresh and calls EstimateFromOutputs on it.
+// ---------------------------------------------------------------------------
+
+/// Generate's group walk, re-done the direct way: every candidate's sample
+/// is fetched whole and estimated with EstimateFromOutputs. Groups follow
+/// the profiler's canonical (resolution, restricted mask, contrast) order.
+util::Result<std::vector<ProfilePoint>> ReferenceWalk(
+    query::FrameOutputSource& source, const detect::ClassPriorIndex& prior,
+    const query::QuerySpec& spec, const ProfilerOptions& options,
+    const std::optional<CorrectionSet>& correction, std::vector<InterventionSet> candidates,
+    uint64_t seed) {
+  // Generate draws the group-stream seed first from the caller's stream.
+  const uint64_t profile_seed = stats::Rng(seed).NextUint64();
+  std::map<std::tuple<int, uint8_t, int64_t>, std::vector<InterventionSet>> groups;
+  for (const InterventionSet& candidate : candidates) {
+    groups[{candidate.resolution, candidate.restricted.mask(),
+            static_cast<int64_t>(std::llround(candidate.contrast_scale * 4096.0))}]
+        .push_back(candidate);
+  }
+  const int model_max = source.detector().max_resolution();
+  const int64_t original_population = source.dataset().num_frames();
+  std::vector<ProfilePoint> points;
+  for (auto& [key, group] : groups) {
+    std::sort(group.begin(), group.end(), [](const InterventionSet& a, const InterventionSet& b) {
+      return a.sample_fraction < b.sample_fraction;
+    });
+    std::vector<int64_t> eligible = prior.FramesWithoutAny(group.front().restricted);
+    stats::Rng group_rng(stats::HashCombine(
+        {profile_seed, static_cast<uint64_t>(std::get<0>(key)),
+         static_cast<uint64_t>(std::get<1>(key)), static_cast<uint64_t>(std::get<2>(key))}));
+    stats::Shuffle(eligible, group_rng);
+    const int64_t eligible_population = static_cast<int64_t>(eligible.size());
+    double prev_err = std::numeric_limits<double>::infinity();
+    for (const InterventionSet& candidate : group) {
+      int64_t n = stats::FractionToCount(original_population, candidate.sample_fraction);
+      n = std::min(n, eligible_population);
+      const int resolution = candidate.EffectiveResolution(model_max);
+      std::vector<int64_t> frames(eligible.begin(), eligible.begin() + n);
+      SMK_ASSIGN_OR_RETURN(std::vector<double> outputs,
+                           source.Outputs(spec, frames, resolution, candidate.contrast_scale));
+      SMK_ASSIGN_OR_RETURN(EstimationResult result,
+                           EstimateFromOutputs(spec, outputs, eligible_population,
+                                               original_population, resolution, options.delta));
+      ProfilePoint point;
+      point.interventions = candidate;
+      point.y_approx = result.estimate.y_approx;
+      point.err_uncorrected = result.estimate.err_b;
+      point.sample_size = result.sample_size;
+      const bool purely_random = candidate.restricted.empty() && resolution == model_max &&
+                                 candidate.contrast_scale >= 1.0;
+      point.err_bound = point.err_uncorrected;
+      if (correction.has_value()) {
+        SMK_ASSIGN_OR_RETURN(double repaired_err, RepairErrorBound(spec, result, *correction));
+        point.err_bound = purely_random ? std::min(point.err_uncorrected, repaired_err)
+                                        : repaired_err;
+        point.repaired = purely_random ? repaired_err < point.err_uncorrected : true;
+      }
+      points.push_back(point);
+      if (options.early_stop && std::isfinite(prev_err) &&
+          prev_err - point.err_bound < options.early_stop_tolerance) {
+        break;
+      }
+      prev_err = point.err_bound;
+    }
+  }
+  return points;
+}
+
+class IncrementalProfilerWalkTest
+    : public ::testing::TestWithParam<std::tuple<ScenePreset, query::AggregateFunction>> {
+ protected:
+  void SetUp() override {
+    auto ds = video::MakePresetScaled(std::get<0>(GetParam()), 1500);
+    ds.status().CheckOk();
+    dataset_ = std::make_unique<video::VideoDataset>(std::move(ds).ValueOrDie());
+    auto prior = detect::ClassPriorIndex::Build(*dataset_, yolo_, mtcnn_);
+    prior.status().CheckOk();
+    prior_ = std::make_unique<detect::ClassPriorIndex>(std::move(prior).ValueOrDie());
+    spec_.aggregate = std::get<1>(GetParam());
+  }
+
+  // Six nested fractions per group (uneven tails, a one-frame-apart pair)
+  // x 2 resolutions x 2 restricted sets.
+  static std::vector<InterventionSet> Candidates() {
+    std::vector<InterventionSet> candidates;
+    for (double f : {0.02, 0.05, 0.0507, 0.1, 0.25, 0.5}) {
+      for (int p : {160, 608}) {
+        for (const ClassSet& c : {ClassSet::None(), ClassSet({ObjectClass::kFace})}) {
+          InterventionSet iv;
+          iv.sample_fraction = f;
+          iv.resolution = p;
+          iv.restricted = c;
+          candidates.push_back(iv);
+        }
+      }
+    }
+    return candidates;
+  }
+
+  detect::SimYoloV4 yolo_;
+  detect::SimMtcnn mtcnn_;
+  std::unique_ptr<video::VideoDataset> dataset_;
+  std::unique_ptr<detect::ClassPriorIndex> prior_;
+  query::QuerySpec spec_;
+};
+
+TEST_P(IncrementalProfilerWalkTest, EveryPointEqualsPerPrefixReference) {
+  for (bool early_stop : {true, false}) {
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(::testing::Message() << "early_stop " << early_stop << " threads " << threads);
+      query::FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
+      ProfilerOptions opts;
+      opts.early_stop = early_stop;
+      opts.num_threads = threads;  // Correction set sized by the elbow walk.
+      Profiler profiler(source, *prior_, spec_, opts);
+      stats::Rng rng(101);
+      auto profile = profiler.Generate(Candidates(), rng);
+      ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+      ASSERT_TRUE(profiler.correction_set().has_value());
+
+      query::FrameOutputSource fresh(*dataset_, yolo_, ObjectClass::kCar);
+      auto reference = ReferenceWalk(fresh, *prior_, spec_, opts, profiler.correction_set(),
+                                     Candidates(), 101);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      ExpectBitIdentical(*reference, profile->points);
+    }
+  }
+}
+
+TEST_P(IncrementalProfilerWalkTest, CorrectionSizingCurveEqualsPerPrefixReference) {
+  query::FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
+  stats::Rng rng(202);
+  // A zero tolerance never sees an elbow, so the walk runs to the cap and
+  // every aggregate folds twenty tails, even where err_b is flat at once.
+  auto sizing = DetermineCorrectionSetSize(source, spec_, 0.05, rng, /*max_fraction=*/0.2,
+                                           /*plateau_tolerance=*/0.0);
+  ASSERT_TRUE(sizing.ok()) << sizing.status().ToString();
+  ASSERT_EQ(sizing->curve.size(), 20u);
+
+  // The same permutation, every prefix fetched whole.
+  const int64_t population = dataset_->num_frames();
+  stats::Rng ref_rng(202);
+  auto permutation = stats::SampleWithoutReplacement(population, population, ref_rng);
+  ASSERT_TRUE(permutation.ok());
+  const int resolution = yolo_.max_resolution();
+  const int64_t step = std::max<int64_t>(
+      1, static_cast<int64_t>(std::llround(0.01 * static_cast<double>(population))));
+  query::FrameOutputSource fresh(*dataset_, yolo_, ObjectClass::kCar);
+  for (size_t i = 0; i < sizing->curve.size(); ++i) {
+    const int64_t m = step * static_cast<int64_t>(i + 1);
+    std::vector<int64_t> frames(permutation->begin(), permutation->begin() + m);
+    auto outputs = fresh.Outputs(spec_, frames, resolution, 1.0);
+    ASSERT_TRUE(outputs.ok());
+    auto expected = EstimateFromOutputs(spec_, *outputs, population, population, resolution, 0.05);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(sizing->curve[i].first, static_cast<double>(m) / static_cast<double>(population));
+    EXPECT_EQ(sizing->curve[i].second, expected->estimate.err_b) << "step " << i;
+  }
+  EXPECT_EQ(sizing->chosen_size, step * static_cast<int64_t>(sizing->curve.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PresetsAndAggregates, IncrementalProfilerWalkTest,
+    ::testing::Combine(::testing::Values(ScenePreset::kUaDetrac, ScenePreset::kNightStreet),
+                       ::testing::Values(query::AggregateFunction::kAvg,
+                                         query::AggregateFunction::kSum,
+                                         query::AggregateFunction::kCount,
+                                         query::AggregateFunction::kVar,
+                                         query::AggregateFunction::kMax,
+                                         query::AggregateFunction::kMin)));
 
 }  // namespace
 }  // namespace core

@@ -17,6 +17,7 @@
 #include "core/estimator_api.h"
 #include "core/quantile_estimator.h"
 #include "core/repair.h"
+#include "degrade/degraded_view.h"
 #include "detect/models.h"
 #include "query/executor.h"
 #include "stats/empirical.h"
@@ -295,7 +296,23 @@ TEST_P(PipelineDeterminismProperty, SameSeedSameEstimate) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->estimate.y_approx, b->estimate.y_approx);
   EXPECT_EQ(a->estimate.err_b, b->estimate.err_b);
-  EXPECT_EQ(a->sample_outputs, b->sample_outputs);
+  EXPECT_EQ(a->sample_size, b->sample_size);
+  EXPECT_EQ(a->eligible_population, b->eligible_population);
+
+  // The same draw, estimated by the span-based estimator over the sampled
+  // outputs, gives the same doubles.
+  stats::Rng rng_c(GetParam());
+  auto view = degrade::DegradedView::Create(*ds, *prior, iv, yolo.max_resolution(), rng_c);
+  ASSERT_TRUE(view.ok());
+  auto sampled = source_b.Outputs(spec, view->sampled_frames(), view->resolution(),
+                                  view->contrast_scale());
+  ASSERT_TRUE(sampled.ok());
+  ASSERT_EQ(static_cast<int64_t>(sampled->size()), a->sample_size);
+  SmokescreenMeanEstimator mean_estimator;
+  auto direct = mean_estimator.EstimateMean(*sampled, view->eligible_population(), 0.05);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(a->estimate.y_approx, direct->y_approx);
+  EXPECT_EQ(a->estimate.err_b, direct->err_b);
 
   // Cached re-read gives identical outputs (reuse correctness).
   auto outputs_again = source_a.Outputs(spec, {0, 1, 2, 3}, 320, 1.0);

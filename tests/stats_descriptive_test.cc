@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "stats/descriptive.h"
 #include "stats/empirical.h"
 #include "stats/histogram.h"
+#include "stats/rng.h"
 
 namespace smokescreen {
 namespace stats {
@@ -56,6 +60,62 @@ TEST(WelfordTest, MatchesBatchSummary) {
   EXPECT_EQ(acc.range(), s->range);
 }
 
+// Samples of the two shapes estimators see: integer detector counts (few
+// distinct values, many ties) and continuous values (all distinct).
+std::vector<double> RandomSample(Rng& rng, size_t size, bool integer_valued) {
+  std::vector<double> values(size);
+  for (double& v : values) {
+    v = integer_valued ? static_cast<double>(rng.NextPoisson(3.5))
+                       : 100.0 * rng.NextGaussian() + 7.0;
+  }
+  return values;
+}
+
+// Random cut points 0 < c_1 < ... < size: the tails a nested-prefix walk
+// folds in, including one-value tails.
+std::vector<size_t> RandomChunkEnds(Rng& rng, size_t size) {
+  std::vector<size_t> ends;
+  for (size_t end = 0; end < size;) {
+    end = std::min(size, end + 1 + static_cast<size_t>(rng.NextBounded(40)));
+    ends.push_back(end);
+  }
+  return ends;
+}
+
+TEST(WelfordTest, ChunkedFoldIsBitIdenticalToSummarize) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::vector<double> values = RandomSample(rng, 300, trial % 2 == 0);
+    WelfordAccumulator acc;
+    size_t folded = 0;
+    for (size_t end : RandomChunkEnds(rng, values.size())) {
+      acc.Extend(std::span<const double>(values).subspan(folded, end - folded));
+      folded = end;
+      auto expected = Summarize(std::span<const double>(values).first(end));
+      ASSERT_TRUE(expected.ok());
+      const Summary got = acc.ToSummary();
+      // Exact equality on purpose: the same doubles, not merely close ones.
+      EXPECT_EQ(got.count, expected->count) << "trial " << trial << " prefix " << end;
+      EXPECT_EQ(got.mean, expected->mean) << "trial " << trial << " prefix " << end;
+      EXPECT_EQ(got.variance, expected->variance) << "trial " << trial << " prefix " << end;
+      EXPECT_EQ(got.stddev, expected->stddev) << "trial " << trial << " prefix " << end;
+      EXPECT_EQ(got.min, expected->min) << "trial " << trial << " prefix " << end;
+      EXPECT_EQ(got.max, expected->max) << "trial " << trial << " prefix " << end;
+      EXPECT_EQ(got.range, expected->range) << "trial " << trial << " prefix " << end;
+      EXPECT_EQ(got.sum, expected->sum) << "trial " << trial << " prefix " << end;
+    }
+  }
+}
+
+TEST(WelfordTest, EmptySnapshotIsAllZero) {
+  const Summary s = WelfordAccumulator().ToSummary();
+  EXPECT_EQ(s.count, 0);
+  EXPECT_EQ(s.mean, 0.0);
+  EXPECT_EQ(s.variance, 0.0);
+  EXPECT_EQ(s.range, 0.0);
+  EXPECT_EQ(s.sum, 0.0);
+}
+
 TEST(WelfordTest, VarianceZeroBelowTwoValues) {
   WelfordAccumulator acc;
   EXPECT_EQ(acc.variance(), 0.0);
@@ -83,6 +143,51 @@ TEST(EmpiricalTest, DistinctValuesAndFrequencies) {
   EXPECT_NEAR(dist->CumulativeFrequency(2), 1.0, 1e-12);
   EXPECT_EQ(dist->min_value(), 1.0);
   EXPECT_EQ(dist->max_value(), 3.0);
+}
+
+TEST(EmpiricalTest, ExtendedTailByTailEqualsCreateOfPrefix) {
+  Rng rng(4048);
+  std::vector<double> scratch;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::vector<double> values = RandomSample(rng, 300, trial % 2 == 0);
+    EmpiricalDistribution grown;
+    size_t folded = 0;
+    for (size_t end : RandomChunkEnds(rng, values.size())) {
+      grown.Extend(std::span<const double>(values).subspan(folded, end - folded), scratch);
+      folded = end;
+      auto expected = EmpiricalDistribution::Create(std::span<const double>(values).first(end));
+      ASSERT_TRUE(expected.ok());
+      ASSERT_EQ(grown.total_count(), expected->total_count());
+      ASSERT_EQ(grown.num_distinct(), expected->num_distinct())
+          << "trial " << trial << " prefix " << end;
+      for (int64_t i = 0; i < expected->num_distinct(); ++i) {
+        EXPECT_EQ(grown.DistinctValue(i), expected->DistinctValue(i)) << "trial " << trial;
+        EXPECT_EQ(grown.Count(i), expected->Count(i)) << "trial " << trial;
+        EXPECT_EQ(grown.CumulativeFrequency(i), expected->CumulativeFrequency(i))
+            << "trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(EmpiricalTest, ExtendMergesNewValuesBetweenAndAroundOldOnes) {
+  std::vector<double> scratch;
+  EmpiricalDistribution dist;
+  EXPECT_EQ(dist.total_count(), 0);
+  EXPECT_EQ(dist.num_distinct(), 0);
+  dist.Extend(std::vector<double>{5, 3, 5}, scratch);
+  dist.Extend(std::vector<double>{}, scratch);  // No-op.
+  dist.Extend(std::vector<double>{9, 1, 4, 5, 1}, scratch);
+  ASSERT_EQ(dist.total_count(), 8);
+  ASSERT_EQ(dist.num_distinct(), 5);
+  const double expected_values[] = {1, 3, 4, 5, 9};
+  const int64_t expected_counts[] = {2, 1, 1, 3, 1};
+  for (int64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(dist.DistinctValue(i), expected_values[i]);
+    EXPECT_EQ(dist.Count(i), expected_counts[i]);
+  }
+  EXPECT_EQ(dist.CumulativeFrequency(4), 1.0);
+  EXPECT_EQ(dist.Quantile(0.5), 4.0);
 }
 
 TEST(EmpiricalTest, RejectsEmpty) { EXPECT_FALSE(EmpiricalDistribution::Create({}).ok()); }

@@ -20,7 +20,13 @@ std::vector<unsigned char> Bytes(const std::string& s) {
 
 class EnvTest : public ::testing::Test {
  protected:
-  void SetUp() override { path_ = testing::TempDir() + "/util_env_test.bin"; }
+  // Unique per test: ctest -j runs tests of this binary as separate
+  // processes, and a shared fixed path races their writes and TearDown.
+  void SetUp() override {
+    const testing::TestInfo* info = testing::UnitTest::GetInstance()->current_test_info();
+    path_ = testing::TempDir() + "/util_env_test_" + info->test_suite_name() + "_" +
+            info->name() + ".bin";
+  }
   void TearDown() override {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
