@@ -63,12 +63,31 @@ inline void SetRange(std::vector<uint64_t>& bits, int64_t first, int64_t n) {
 inline void ClearRange(std::vector<uint64_t>& bits, int64_t first, int64_t n) {
   ForEachWord(first, n, [&bits](size_t w, uint64_t mask) { bits[w] &= ~mask; });
 }
+
+// A dense column's ready bits are published with release ordering after the
+// counts they cover are written, and read with acquire ordering (see
+// FrameOutputSource::DenseColumn). Only holders of the column's mutex set
+// bits, so publishing is a plain load-or-store, not an atomic
+// read-modify-write.
+using ReadyBits = std::vector<std::atomic<uint64_t>>;
+inline bool IsReady(const ReadyBits& ready, int64_t i) {
+  return (ready[static_cast<size_t>(i >> 6)].load(std::memory_order_acquire) >> (i & 63)) & 1u;
+}
+inline void PublishReadyMask(std::atomic<uint64_t>& word, uint64_t mask) {
+  word.store(word.load(std::memory_order_relaxed) | mask, std::memory_order_release);
+}
+inline void PublishReady(ReadyBits& ready, int64_t i) {
+  PublishReadyMask(ready[static_cast<size_t>(i >> 6)], uint64_t{1} << (i & 63));
+}
+inline void PublishReadyRange(ReadyBits& ready, int64_t first, int64_t n) {
+  ForEachWord(first, n, [&ready](size_t w, uint64_t mask) { PublishReadyMask(ready[w], mask); });
+}
 /// True when no frame of [first, first+n) is ready or in flight.
-inline bool RangeClear(const std::vector<uint64_t>& ready,
-                       const std::vector<uint64_t>& inflight, int64_t first, int64_t n) {
+inline bool RangeClear(const ReadyBits& ready, const std::vector<uint64_t>& inflight,
+                       int64_t first, int64_t n) {
   bool clear = true;
   ForEachWord(first, n, [&](size_t w, uint64_t mask) {
-    clear = clear && ((ready[w] | inflight[w]) & mask) == 0;
+    clear = clear && ((ready[w].load(std::memory_order_acquire) | inflight[w]) & mask) == 0;
   });
   return clear;
 }
@@ -546,14 +565,28 @@ Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int
 
 FrameOutputSource::DenseColumn& FrameOutputSource::DenseColumnFor(int resolution,
                                                                   int64_t contrast_q) {
+  const std::pair<int, int64_t> key{resolution, contrast_q};
+  // An existing column is found without dense_mu_ (see dense_index_).
+  if (const DenseIndex* index = dense_index_.load(std::memory_order_acquire)) {
+    auto it = std::lower_bound(index->begin(), index->end(), key,
+                               [](const auto& entry, const auto& k) { return entry.first < k; });
+    if (it != index->end() && it->first == key) return *it->second;
+  }
   util::MutexLock lock(&dense_mu_);
-  std::unique_ptr<DenseColumn>& slot = dense_columns_[{resolution, contrast_q}];
+  std::unique_ptr<DenseColumn>& slot = dense_columns_[key];
   if (slot == nullptr) {
     slot = std::make_unique<DenseColumn>();
     const size_t num_frames = static_cast<size_t>(dataset_.num_frames());
     slot->counts.assign(num_frames, 0);
-    slot->ready.assign((num_frames + 63) / 64, 0);
+    slot->ready = ReadyBits((num_frames + 63) / 64);  // Value-initialized: all clear.
     slot->inflight.assign((num_frames + 63) / 64, 0);
+    auto index = std::make_unique<DenseIndex>();
+    index->reserve(dense_columns_.size());
+    for (const auto& [column_key, column] : dense_columns_) {
+      index->emplace_back(column_key, column.get());
+    }
+    dense_index_.store(index.get(), std::memory_order_release);
+    dense_indexes_.push_back(std::move(index));
   }
   return *slot;
 }
@@ -598,7 +631,7 @@ Status FrameOutputSource::FillCountsDense(std::span<const int64_t> frame_indices
         if (status.ok()) {
           std::copy(out.begin(), out.end(),
                     col.counts.begin() + static_cast<ptrdiff_t>(f0));
-          SetRange(col.ready, f0, static_cast<int64_t>(n));
+          PublishReadyRange(col.ready, f0, static_cast<int64_t>(n));
         }
         // A failed batch releases its claim (the sharded tier's tombstone).
         ClearRange(col.inflight, f0, static_cast<int64_t>(n));
@@ -612,37 +645,49 @@ Status FrameOutputSource::FillCountsDense(std::span<const int64_t> frame_indices
     }
   }
 
-  // General path: per-frame bit probes under one lock acquisition, with the
-  // same classification as the sharded tier — ready hit, duplicate of a
-  // frame this call already claimed, in flight on another thread, or a
-  // fresh claim. The local `ours` bitmap distinguishes this call's own
-  // in-flight bits from other threads' (duplicates within the request).
-  std::vector<uint64_t> ours(static_cast<size_t>((num_frames + 63) / 64), 0);
+  // General path. Ready hits are served first without the lock (see
+  // DenseColumn), so a warm request never takes it. The frames left over
+  // get per-frame bit probes under one lock acquisition, with the same
+  // classification as the sharded tier — ready by now, duplicate of a frame
+  // this call already claimed, in flight on another thread, or a fresh
+  // claim. The local `ours` bitmap distinguishes this call's own in-flight
+  // bits from other threads' (duplicates within the request).
+  std::vector<uint32_t> pending;
+  int64_t probe_hits = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t frame = frame_indices[i];
+    if (IsReady(col.ready, frame)) {
+      out[i] = col.counts[static_cast<size_t>(frame)];
+      ++probe_hits;
+    } else {
+      pending.push_back(static_cast<uint32_t>(i));
+    }
+  }
   std::vector<int64_t> miss_frames;
   std::vector<uint32_t> miss_slot;
   std::vector<uint32_t> dup_slots;
   std::vector<uint32_t> waiter_slots;
-  int64_t probe_hits = 0;
-  {
+  if (!pending.empty()) {
+    std::vector<uint64_t> ours(static_cast<size_t>((num_frames + 63) / 64), 0);
     util::MutexLock lock(&col.mu);
-    for (size_t i = 0; i < n; ++i) {
-      const int64_t frame = frame_indices[i];
-      if (TestBit(col.ready, frame)) {
-        out[i] = col.counts[static_cast<size_t>(frame)];
+    for (uint32_t slot : pending) {
+      const int64_t frame = frame_indices[slot];
+      if (IsReady(col.ready, frame)) {
+        out[slot] = col.counts[static_cast<size_t>(frame)];
         ++probe_hits;
         continue;
       }
       if (TestBit(ours, frame)) {
-        dup_slots.push_back(static_cast<uint32_t>(i));
+        dup_slots.push_back(slot);
         continue;
       }
       if (TestBit(col.inflight, frame)) {
-        waiter_slots.push_back(static_cast<uint32_t>(i));
+        waiter_slots.push_back(slot);
         continue;
       }
       SetBit(col.inflight, frame);
       SetBit(ours, frame);
-      miss_slot.push_back(static_cast<uint32_t>(i));
+      miss_slot.push_back(slot);
       miss_frames.push_back(frame);
     }
   }
@@ -659,7 +704,7 @@ Status FrameOutputSource::FillCountsDense(std::span<const int64_t> frame_indices
       if (status.ok()) {
         for (size_t m = 0; m < miss_frames.size(); ++m) {
           col.counts[static_cast<size_t>(miss_frames[m])] = miss_counts[m];
-          SetBit(col.ready, miss_frames[m]);
+          PublishReady(col.ready, miss_frames[m]);
         }
         // Duplicates of this call's own claims read the freshly installed
         // counts here, under the same lock acquisition that installed them —
@@ -707,10 +752,15 @@ Result<int> FrameOutputSource::RawCountDense(int64_t frame_index, int resolution
                               std::to_string(num_frames) + ")");
   }
   DenseColumn& col = DenseColumnFor(resolution, std::llround(contrast_scale * 4096.0));
+  if (IsReady(col.ready, frame_index)) {  // Lock-free hit (see DenseColumn).
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.hits->Increment();
+    return col.counts[static_cast<size_t>(frame_index)];
+  }
   {
     util::MutexLock lock(&col.mu);
     for (;;) {
-      if (TestBit(col.ready, frame_index)) {
+      if (IsReady(col.ready, frame_index)) {
         cache_hits_.fetch_add(1, std::memory_order_relaxed);
         metrics_.hits->Increment();
         return col.counts[static_cast<size_t>(frame_index)];
@@ -737,7 +787,7 @@ Result<int> FrameOutputSource::RawCountDense(int64_t frame_index, int resolution
       model_invocations_.fetch_add(1, std::memory_order_relaxed);
       metrics_.invocations->Increment();
       col.counts[static_cast<size_t>(frame_index)] = *count;
-      SetBit(col.ready, frame_index);
+      PublishReady(col.ready, frame_index);
     }
     ClearBit(col.inflight, frame_index);
   }
@@ -856,7 +906,7 @@ OutputStore FrameOutputSource::ExportStore() {
       util::MutexLock lock(&col.mu);
       std::vector<std::pair<int64_t, int>>& entries = groups[group_key];
       for (size_t w = 0; w < col.ready.size(); ++w) {
-        uint64_t bits = col.ready[w];
+        uint64_t bits = col.ready[w].load(std::memory_order_acquire);
         while (bits != 0) {
           const int64_t frame = static_cast<int64_t>(w) * 64 + std::countr_zero(bits);
           entries.emplace_back(frame, col.counts[static_cast<size_t>(frame)]);
@@ -919,9 +969,9 @@ Result<int64_t> FrameOutputSource::Preload(const OutputStore& store) {
                                     " out of [0, " + std::to_string(dataset_.num_frames()) +
                                     ")");
         }
-        if (TestBit(col.ready, frame) || TestBit(col.inflight, frame)) continue;
+        if (IsReady(col.ready, frame) || TestBit(col.inflight, frame)) continue;
         col.counts[static_cast<size_t>(frame)] = column.counts[i];
-        SetBit(col.ready, frame);
+        PublishReady(col.ready, frame);
         ++loaded;
       }
       continue;

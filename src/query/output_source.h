@@ -32,7 +32,10 @@
 //    lets the model write counts straight into the caller's output span;
 //    install is a memcpy plus bitmap sets. Per-frame substrate cost is a
 //    couple of bit operations — the memo layer no longer taxes the
-//    columnar kernel it feeds.
+//    columnar kernel it feeds. Hits take no lock at all: ready bits are
+//    published with release ordering after their counts, so concurrent
+//    readers of a warm column (the serving layer's clients and executor
+//    workers) never queue behind one another.
 //  * SHARDED tier (larger datasets, where num_frames-sized columns per
 //    (resolution, contrast) pair would not be worth eagerly allocating):
 //    a per-shard open-addressing table of fixed-size entries (key, count,
@@ -396,19 +399,20 @@ class FrameOutputSource {
 
   /// Dense-tier column: a direct-mapped counts array over every frame of
   /// the dataset plus ready/in-flight bitmaps, one per (resolution,
-  /// contrast_q) pair, created lazily on first touch. All three arrays are
-  /// guarded by mu — `ready` bits are monotone (set under mu, never
-  /// cleared), and every counts[] read happens under mu too, so the
-  /// publication protocol is fully expressible to the static analysis. The
-  /// one exception is the contiguous-cold fast path, which computes straight
-  /// into the caller's output span (unguarded local data) and installs into
-  /// counts[] under mu afterwards.
+  /// contrast_q) pair, created lazily on first touch. `inflight` is guarded
+  /// by mu. `counts` and `ready` follow a publication protocol the static
+  /// analysis cannot express: a frame's count is written once, under mu,
+  /// before its ready bit is set with release ordering, and ready bits are
+  /// never cleared. A reader that loads the bit with acquire ordering may
+  /// therefore read the count without the lock, so warm hits take no lock
+  /// and concurrent readers of one column never queue behind each other.
+  /// Claims, installs and in-flight waits still happen under mu.
   struct DenseColumn {
     util::Mutex mu;
     /// Signalled when in-flight computations land (or fail).
     util::CondVar cv;
-    std::vector<int> counts SMK_GUARDED_BY(mu);
-    std::vector<uint64_t> ready SMK_GUARDED_BY(mu);
+    std::vector<int> counts;
+    std::vector<std::atomic<uint64_t>> ready;
     std::vector<uint64_t> inflight SMK_GUARDED_BY(mu);
   };
 
@@ -482,6 +486,14 @@ class FrameOutputSource {
   util::Mutex dense_mu_;
   std::map<std::pair<int, int64_t>, std::unique_ptr<DenseColumn>> dense_columns_
       SMK_GUARDED_BY(dense_mu_);
+  /// What DenseColumnFor searches before it takes dense_mu_: an immutable
+  /// sorted copy of dense_columns_, republished with release ordering (under
+  /// dense_mu_) whenever a column is added. Columns are never removed, so an
+  /// index never goes stale; superseded ones stay alive in dense_indexes_
+  /// because a reader may still be searching one.
+  using DenseIndex = std::vector<std::pair<std::pair<int, int64_t>, DenseColumn*>>;
+  std::atomic<const DenseIndex*> dense_index_{nullptr};
+  std::vector<std::unique_ptr<const DenseIndex>> dense_indexes_ SMK_GUARDED_BY(dense_mu_);
   std::atomic<int64_t> model_invocations_{0};
   std::atomic<int64_t> cache_hits_{0};
   // Mutable: RetryCountBatch is const (it computes, it does not change the

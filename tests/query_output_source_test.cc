@@ -540,6 +540,62 @@ TEST_F(OutputSourceTest, DenseTierDuplicateHeavyConcurrentBatchesStayExact) {
   EXPECT_EQ(source_->cache_hits(), total_requested.load() - distinct);
 }
 
+TEST_F(OutputSourceTest, DenseTierLockFreeHitsSeeCountsPublishedByOtherThreads) {
+  // Hits read a dense column without its lock, so only the release/acquire
+  // pairing on the ready bits orders a reader after the thread that wrote a
+  // count. A writer installs frames 0, 2, 4, ... one request at a time, then
+  // adds columns (new contrasts), which republishes the column index.
+  // Readers request only frames the writer has announced through a relaxed
+  // counter, in descending (non-contiguous) order, so they take no lock and
+  // nothing else synchronizes them with the writer; a ThreadSanitizer build
+  // checks that ordering. Every read must equal the detector and every
+  // reader request must be served from the memo.
+  constexpr int64_t kFrames = 150;
+  constexpr int kReaders = 4;
+  constexpr int kNewColumns = 4;
+  std::vector<int> expected;
+  for (int64_t k = 0; k < kFrames; ++k) {
+    expected.push_back(*yolo_.CountDetections(*dataset_, 2 * k, 320, ObjectClass::kCar, 1.0));
+  }
+  std::atomic<int64_t> published{0};
+  std::atomic<int64_t> reader_frames{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int64_t k = 0; k < kFrames; ++k) {
+      // The repeat keeps the request off the contiguous fast path.
+      auto counts = source_->RawCounts({2 * k, 2 * k}, 320);
+      if (!counts.ok() || (*counts)[0] != expected[k] || (*counts)[1] != expected[k]) {
+        failed.store(true);
+      }
+      published.store(k + 1, std::memory_order_relaxed);
+    }
+    for (int c = 0; c < kNewColumns; ++c) {
+      if (!source_->RawCounts({0, 2}, 320, 0.5 + 0.05 * c).ok()) failed.store(true);
+    }
+  });
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      for (int64_t n = 0; n < kFrames;) {
+        n = published.load(std::memory_order_relaxed);
+        if (n < 2) continue;
+        std::vector<int64_t> frames;
+        for (int64_t k = n - 1; k >= 0; --k) frames.push_back(2 * k);
+        auto counts = source_->RawCounts(frames, 320);
+        reader_frames.fetch_add(n);
+        for (int64_t k = 0; k < n && counts.ok(); ++k) {
+          if ((*counts)[static_cast<size_t>(n - 1 - k)] != expected[k]) failed.store(true);
+        }
+        if (!counts.ok()) failed.store(true);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_FALSE(failed.load());
+  EXPECT_EQ(source_->model_invocations(), kFrames + 2 * kNewColumns);
+  EXPECT_EQ(source_->cache_hits(), kFrames + reader_frames.load());
+}
+
 TEST_F(OutputSourceTest, DenseTierConcurrentSameKeyComputesExactlyOnce) {
   // All threads fight over one key on the dense tier: the per-column
   // in-flight bitmap must admit exactly one computation.
