@@ -34,7 +34,7 @@ int main() {
 
     // Fresh source so the cache cannot mask the skipping.
     query::FrameOutputSource fresh(*wl.dataset, *wl.model, video::ObjectClass::kCar);
-    auto scan = fresh.AllOutputsWithSkipping(spec, wl.model->max_resolution());
+    auto scan = query::AllOutputsWithSkipping(fresh, spec, wl.model->max_resolution());
     scan.status().CheckOk();
     double avg_skipped = 0;
     for (double v : scan->outputs) avg_skipped += v;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "stats/empirical.h"
 
@@ -20,6 +21,38 @@ Result<GroundTruth> ComputeGroundTruth(FrameOutputSource& source, const QuerySpe
   SMK_ASSIGN_OR_RETURN(gt.y_true,
                        ComputeAggregate(spec.aggregate, gt.outputs, spec.EffectiveQuantileR()));
   return gt;
+}
+
+Result<SkippedScan> AllOutputsWithSkipping(FrameOutputSource& source, const QuerySpec& spec,
+                                           int resolution, double contrast_scale) {
+  const video::VideoDataset& dataset = source.dataset();
+  SkippedScan scan;
+  scan.outputs.reserve(static_cast<size_t>(dataset.num_frames()));
+  const OutputTransform transform(spec);
+  std::vector<int64_t> prev_tracks;
+  double prev_output = 0.0;
+  bool have_prev = false;
+  for (int64_t i = 0; i < dataset.num_frames(); ++i) {
+    // The cheap "frame difference detector": the multiset of target-class
+    // track ids (sorted; tracks are emitted in stable order per frame).
+    std::vector<int64_t> tracks;
+    for (const video::GtObject& obj : dataset.frame(i).objects) {
+      if (obj.cls == source.target_class()) tracks.push_back(obj.track_id);
+    }
+    bool same_sequence =
+        i > 0 && dataset.frame(i).sequence_id == dataset.frame(i - 1).sequence_id;
+    if (have_prev && same_sequence && tracks == prev_tracks) {
+      scan.outputs.push_back(prev_output);
+      ++scan.skipped;
+      continue;
+    }
+    SMK_ASSIGN_OR_RETURN(int count, source.RawCount(i, resolution, contrast_scale));
+    prev_output = transform(count);
+    prev_tracks = std::move(tracks);
+    have_prev = true;
+    scan.outputs.push_back(prev_output);
+  }
+  return scan;
 }
 
 double RelativeError(double approx, double truth) {

@@ -6,6 +6,7 @@
 #ifndef SMOKESCREEN_QUERY_EXECUTOR_H_
 #define SMOKESCREEN_QUERY_EXECUTOR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "query/output_source.h"
@@ -27,6 +28,22 @@ struct GroundTruth {
 /// used when separating resolution-intervention error from sampling error).
 util::Result<GroundTruth> ComputeGroundTruth(FrameOutputSource& source, const QuerySpec& spec,
                                              int resolution_override = 0);
+
+/// §7 future work, implemented: "a sequence of frames are so similar that
+/// part of frames can be skipped from processing". Scans the dataset in
+/// order and, when a frame's target-class track set is unchanged from the
+/// previous frame (the stand-in for a cheap frame-difference detector),
+/// reuses the previous output instead of invoking the model. Returns the
+/// outputs plus how many invocations were skipped. Exact when detections
+/// depend only on the track set; approximate otherwise (object sizes drift
+/// within a track), which is why it is an extension, not the default.
+struct SkippedScan {
+  std::vector<double> outputs;
+  int64_t skipped = 0;
+};
+util::Result<SkippedScan> AllOutputsWithSkipping(FrameOutputSource& source,
+                                                 const QuerySpec& spec, int resolution,
+                                                 double contrast_scale = 1.0);
 
 /// Relative error metric for AVG/SUM/COUNT: |approx - truth| / |truth|.
 /// Infinity when truth == 0 and approx != 0; 0 when both are 0.

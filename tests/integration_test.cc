@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/candidate_design.h"
 #include "core/estimator_api.h"
 #include "core/profiler.h"
 #include "core/tradeoff.h"
 #include "detect/models.h"
+#include "query/aggregate.h"
 #include "query/executor.h"
 #include "video/presets.h"
 
@@ -30,6 +32,13 @@ struct Workload {
   bool use_maskrcnn;
   query::AggregateFunction aggregate;
 };
+
+// Names each case by its fields; gtest would otherwise print the struct's
+// raw bytes, padding included, which differ from one build to the next.
+void PrintTo(const Workload& wl, std::ostream* os) {
+  *os << video::ScenePresetName(wl.preset) << (wl.use_maskrcnn ? " maskrcnn " : " yolov4 ")
+      << query::AggregateFunctionName(wl.aggregate);
+}
 
 class EndToEndTest : public ::testing::TestWithParam<Workload> {};
 

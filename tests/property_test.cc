@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/avg_estimator.h"
 #include "core/estimator_api.h"
@@ -41,6 +42,12 @@ struct CoverageParam {
   int64_t sample_size;
   double delta;
 };
+
+// Names each case by its fields; gtest would otherwise print the struct's
+// raw bytes, padding included, which differ from one build to the next.
+void PrintTo(const CoverageParam& param, std::ostream* os) {
+  *os << "lambda=" << param.lambda << " n=" << param.sample_size << " delta=" << param.delta;
+}
 
 class MeanCoverageProperty : public ::testing::TestWithParam<CoverageParam> {};
 
@@ -126,6 +133,10 @@ struct BiasParam {
   double bias_factor;  // Multiplicative distortion applied to sampled outputs.
   uint64_t seed;
 };
+
+void PrintTo(const BiasParam& param, std::ostream* os) {
+  *os << "bias=" << param.bias_factor << " seed=" << param.seed;
+}
 
 class RepairProperty : public ::testing::TestWithParam<BiasParam> {};
 
@@ -225,6 +236,10 @@ struct QuantileParam {
   bool is_max;
   int64_t sample_size;
 };
+
+void PrintTo(const QuantileParam& param, std::ostream* os) {
+  *os << "r=" << param.r << (param.is_max ? " MAX" : " MIN") << " n=" << param.sample_size;
+}
 
 class QuantileCoverageProperty : public ::testing::TestWithParam<QuantileParam> {};
 
@@ -337,6 +352,10 @@ struct SceneIndexParam {
   ScenePreset preset;
   uint64_t seed;
 };
+
+void PrintTo(const SceneIndexParam& param, std::ostream* os) {
+  *os << video::ScenePresetName(param.preset) << " seed=" << param.seed;
+}
 
 class SceneIndexPartitionProperty : public ::testing::TestWithParam<SceneIndexParam> {};
 

@@ -168,7 +168,7 @@ TEST_F(OutputSourceTest, ContrastScaleChangesCacheKey) {
 TEST_F(OutputSourceTest, SkippingScanCoversDatasetAndSaves) {
   QuerySpec avg;
   query::FrameOutputSource fresh(*dataset_, yolo_, ObjectClass::kCar);
-  auto scan = fresh.AllOutputsWithSkipping(avg, 608);
+  auto scan = AllOutputsWithSkipping(fresh, avg, 608);
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->outputs.size(), static_cast<size_t>(dataset_->num_frames()));
   EXPECT_GE(scan->skipped, 0);
