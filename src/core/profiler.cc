@@ -203,7 +203,7 @@ Result<Profile> Profiler::Generate(const std::vector<InterventionSet>& candidate
   for (const InterventionSet& candidate : candidates) {
     SMK_RETURN_IF_ERROR(candidate.Validate());
     GroupKey key{candidate.resolution, candidate.restricted.mask(),
-                 static_cast<int64_t>(std::llround(candidate.contrast_scale * 4096.0))};
+                 query::QuantizeContrast(candidate.contrast_scale)};
     groups[key].push_back(candidate);
   }
 
