@@ -29,10 +29,9 @@ int main() {
     auto mtcnn = detect::MakeSimMtcnn();
     auto prior = detect::ClassPriorIndex::Build(d, **(&yolo), **(&mtcnn));
     prior.status().CheckOk();
-    std::printf("  prior: person=%.4f face=%.4f car=%.4f\n",
+    std::printf("  prior: person=%.4f face=%.4f\n",
                 prior->ContainmentFraction(video::ObjectClass::kPerson),
-                prior->ContainmentFraction(video::ObjectClass::kFace),
-                prior->ContainmentFraction(video::ObjectClass::kCar));
+                prior->ContainmentFraction(video::ObjectClass::kFace));
 
     // Resolution sweep of true AVG error (Fig 3 shape).
     query::QuerySpec spec;

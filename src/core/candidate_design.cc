@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "detect/class_prior_index.h"
+
 namespace smokescreen {
 namespace core {
 
@@ -39,8 +41,18 @@ Result<std::vector<int>> ResolutionCandidates(const detect::Detector& detector, 
 }
 
 std::vector<ClassSet> RestrictedClassCandidates() {
-  return {ClassSet::None(), ClassSet({ObjectClass::kPerson}), ClassSet({ObjectClass::kFace}),
-          ClassSet({ObjectClass::kPerson, ObjectClass::kFace})};
+  // Subset bit i selects the prior's i-th recorded class, so the subsets come
+  // out as none, person, face, person+face.
+  const auto& recorded = detect::ClassPriorIndex::kRecordedClasses;
+  std::vector<ClassSet> out;
+  for (uint32_t subset = 0; subset < (1u << recorded.size()); ++subset) {
+    ClassSet set;
+    for (size_t i = 0; i < recorded.size(); ++i) {
+      if (subset & (1u << i)) set.Add(recorded[i]);
+    }
+    out.push_back(set);
+  }
+  return out;
 }
 
 Result<std::vector<degrade::InterventionSet>> BuildCandidateGrid(

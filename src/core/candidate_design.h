@@ -41,7 +41,8 @@ std::vector<double> FractionCandidates(const CandidateGridOptions& options);
 /// stride, deduplicated, ascending. Always includes the maximum.
 util::Result<std::vector<int>> ResolutionCandidates(const detect::Detector& detector, int num);
 
-/// All subsets of the sensitive classes {person, face}: none, person, face,
+/// All subsets of the classes the restricted-class prior records
+/// (detect::ClassPriorIndex::kRecordedClasses): none, person, face,
 /// person+face.
 std::vector<video::ClassSet> RestrictedClassCandidates();
 

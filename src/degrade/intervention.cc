@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "detect/class_prior_index.h"
 #include "util/string_util.h"
 
 namespace smokescreen {
@@ -17,6 +18,11 @@ Status InterventionSet::Validate() const {
   if (resolution < 0) return Status::InvalidArgument("resolution must be >= 0");
   if (contrast_scale <= 0.0 || contrast_scale > 1.0) {
     return Status::InvalidArgument("contrast_scale must be in (0, 1]");
+  }
+  const video::ClassSet recorded = detect::ClassPriorIndex::RecordedClasses();
+  if ((restricted.mask() & ~recorded.mask()) != 0) {
+    return Status::InvalidArgument("image removal restricts only classes the prior records (" +
+                                   recorded.ToString() + "), got " + restricted.ToString());
   }
   return Status::OK();
 }

@@ -27,7 +27,8 @@ struct InterventionSet {
   /// Inference resolution in pixels; 0 means "the model's maximum" (i.e. no
   /// resolution intervention).
   int resolution = 0;
-  /// Frames whose prior contains any of these classes are removed.
+  /// Frames whose prior contains any of these classes are removed. Only
+  /// the classes the prior records (person, face) are valid here.
   video::ClassSet restricted;
   /// Appearance degradation from noise addition / lossy compression, in
   /// (0, 1]; 1 means none. Extension knob beyond the paper's three examples.
@@ -36,6 +37,8 @@ struct InterventionSet {
   /// No intervention at all.
   static InterventionSet None() { return InterventionSet{}; }
 
+  /// InvalidArgument for a knob out of range or a restricted class the
+  /// prior does not record.
   util::Status Validate() const;
 
   /// True when only the (random) frame-sampling knob is active, so the basic

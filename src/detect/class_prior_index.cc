@@ -1,5 +1,10 @@
 #include "detect/class_prior_index.h"
 
+#include <algorithm>
+#include <array>
+#include <numeric>
+#include <tuple>
+
 namespace smokescreen {
 namespace detect {
 
@@ -9,21 +14,31 @@ using video::ObjectClass;
 Result<ClassPriorIndex> ClassPriorIndex::Build(const video::VideoDataset& dataset,
                                                const Detector& person_detector,
                                                const Detector& face_detector) {
-  std::vector<uint8_t> masks(static_cast<size_t>(dataset.num_frames()), 0);
-  const int person_res = person_detector.max_resolution();
-  const int face_res = face_detector.max_resolution();
-  for (int64_t i = 0; i < dataset.num_frames(); ++i) {
-    uint8_t mask = 0;
-    SMK_ASSIGN_OR_RETURN(int cars, person_detector.CountDetections(dataset, i, person_res,
-                                                                   ObjectClass::kCar, 1.0));
-    if (cars > 0) mask |= 1u << static_cast<int>(ObjectClass::kCar);
-    SMK_ASSIGN_OR_RETURN(int persons, person_detector.CountDetections(dataset, i, person_res,
-                                                                      ObjectClass::kPerson, 1.0));
-    if (persons > 0) mask |= 1u << static_cast<int>(ObjectClass::kPerson);
-    SMK_ASSIGN_OR_RETURN(int faces, face_detector.CountDetections(dataset, i, face_res,
-                                                                  ObjectClass::kFace, 1.0));
-    if (faces > 0) mask |= 1u << static_cast<int>(ObjectClass::kFace);
-    masks[static_cast<size_t>(i)] = mask;
+  // Fixed chunks bound the frame-index and count buffers (48 KB at 4096).
+  constexpr int64_t kChunkFrames = 4096;
+  // One detector per recorded class, in kRecordedClasses order.
+  const std::array detectors = {&person_detector, &face_detector};
+  static_assert(std::tuple_size_v<decltype(detectors)> == kRecordedClasses.size());
+  const int64_t num_frames = dataset.num_frames();
+  std::vector<uint8_t> masks(static_cast<size_t>(num_frames), 0);
+  std::vector<int64_t> frames;
+  std::vector<int> counts;
+  for (int64_t begin = 0; begin < num_frames; begin += kChunkFrames) {
+    const size_t len = static_cast<size_t>(std::min(kChunkFrames, num_frames - begin));
+    frames.resize(len);
+    std::iota(frames.begin(), frames.end(), begin);
+    counts.resize(len);
+    for (size_t p = 0; p < detectors.size(); ++p) {
+      const Detector& detector = *detectors[p];
+      const ObjectClass cls = kRecordedClasses[p];
+      SMK_RETURN_IF_ERROR(detector.CountBatch(dataset, frames, detector.max_resolution(), cls,
+                                              /*contrast_scale=*/1.0, counts));
+      const uint8_t bit = static_cast<uint8_t>(1u << static_cast<int>(cls));
+      uint8_t* chunk_masks = masks.data() + begin;
+      for (size_t i = 0; i < len; ++i) {
+        if (counts[i] > 0) chunk_masks[i] |= bit;
+      }
+    }
   }
   return ClassPriorIndex(std::move(masks));
 }

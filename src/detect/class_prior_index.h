@@ -4,10 +4,15 @@
 // contains ("person" via YOLOv4@0.7, "face" via MTCNN@0.8) and stores that as
 // prior information; the image-removal intervention then deletes frames whose
 // prior intersects the administrator's restricted set.
+//
+// Only those two classes are recorded. A restricted set naming any other
+// class is rejected by degrade::InterventionSet::Validate, so an unrecorded
+// class can never read as "absent" and keep a frame it should remove.
 
 #ifndef SMOKESCREEN_DETECT_CLASS_PRIOR_INDEX_H_
 #define SMOKESCREEN_DETECT_CLASS_PRIOR_INDEX_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -21,10 +26,24 @@ namespace detect {
 
 class ClassPriorIndex {
  public:
+  /// The classes the prior records, in the order of Build's detector
+  /// arguments: person, then face. Every other list of recorded classes
+  /// (RecordedClasses, core::RestrictedClassCandidates) derives from this.
+  static constexpr std::array<video::ObjectClass, 2> kRecordedClasses = {
+      video::ObjectClass::kPerson, video::ObjectClass::kFace};
+
+  /// kRecordedClasses as a set.
+  static video::ClassSet RecordedClasses() {
+    video::ClassSet set;
+    for (video::ObjectClass cls : kRecordedClasses) set.Add(cls);
+    return set;
+  }
+
   /// Scans the dataset once with the given detectors at their maximum
   /// resolutions: `person_detector` decides "person" containment and
-  /// `face_detector` decides "face" containment. "car" containment is also
-  /// recorded (from `person_detector`) for completeness.
+  /// `face_detector` decides "face" containment. Each detector counts
+  /// fixed-size chunks of frames through its CountBatch kernel, whose counts
+  /// equal per-frame CountDetections calls.
   static util::Result<ClassPriorIndex> Build(const video::VideoDataset& dataset,
                                              const Detector& person_detector,
                                              const Detector& face_detector);
@@ -41,7 +60,8 @@ class ClassPriorIndex {
   }
 
   /// Fraction of frames containing `cls` (the paper reports these: 14.18%
-  /// person / 4.02% face on night-street, etc.).
+  /// person / 4.02% face on night-street, etc.). Zero for a class outside
+  /// RecordedClasses().
   double ContainmentFraction(video::ObjectClass cls) const;
 
   /// Indices of frames containing no class in `set` (the surviving frames

@@ -126,29 +126,6 @@ SimMtcnn::SimMtcnn()
     : CalibratedDetector("SimMtcnn", kMtcnnModelId, /*max_resolution=*/640,
                          /*resolution_stride=*/16, MtcnnCalibrations()) {}
 
-util::Result<int> SimMtcnn::CountDetections(const video::VideoDataset& dataset,
-                                            int64_t frame_index, int resolution,
-                                            ObjectClass cls, double contrast_scale) const {
-  if (cls != ObjectClass::kFace) return 0;  // Face-only model.
-  return CalibratedDetector::CountDetections(dataset, frame_index, resolution, cls,
-                                             contrast_scale);
-}
-
-util::Status SimMtcnn::CountBatch(const video::VideoDataset& dataset,
-                                  std::span<const int64_t> frame_indices, int resolution,
-                                  ObjectClass cls, double contrast_scale,
-                                  std::span<int> out) const {
-  if (cls != ObjectClass::kFace) {  // Face-only model.
-    if (out.size() != frame_indices.size()) {
-      return util::Status::InvalidArgument("CountBatch: out size mismatch");
-    }
-    std::fill(out.begin(), out.end(), 0);
-    return util::Status::OK();
-  }
-  return CalibratedDetector::CountBatch(dataset, frame_indices, resolution, cls, contrast_scale,
-                                        out);
-}
-
 std::unique_ptr<Detector> MakeSimYoloV4() { return std::make_unique<SimYoloV4>(); }
 std::unique_ptr<Detector> MakeSimSsd() { return std::make_unique<SimSsd>(); }
 std::unique_ptr<Detector> MakeSimMaskRcnn() { return std::make_unique<SimMaskRcnn>(); }

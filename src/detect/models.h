@@ -64,19 +64,11 @@ class SimSsd : public CalibratedDetector {
 };
 
 /// MTCNN analogue: face-only detector, threshold 0.8; used to precompute the
-/// restricted-class prior. Returns zero for non-face classes.
+/// restricted-class prior. Its car and person calibrations have a zero
+/// plateau and no false positives, so it counts zero for them.
 class SimMtcnn : public CalibratedDetector {
  public:
   SimMtcnn();
-
-  util::Result<int> CountDetections(const video::VideoDataset& dataset, int64_t frame_index,
-                                    int resolution, video::ObjectClass cls,
-                                    double contrast_scale) const override;
-
-  util::Status CountBatch(const video::VideoDataset& dataset,
-                          std::span<const int64_t> frame_indices, int resolution,
-                          video::ObjectClass cls, double contrast_scale,
-                          std::span<int> out) const override;
 };
 
 std::unique_ptr<Detector> MakeSimYoloV4();

@@ -4,7 +4,7 @@
 // natural shape for simulation and serialization, but it is the wrong shape
 // for the detection hot path: counting one class forces a scan over EVERY
 // object of EVERY queried frame, branching on `obj.cls` and gathering the
-// three fields the recall model reads from scattered 56-byte structs.
+// three fields the recall model reads from scattered 32-byte structs.
 //
 // The SceneIndex re-partitions the same objects once, at dataset build time,
 // into per-class structure-of-arrays columns:

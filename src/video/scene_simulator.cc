@@ -55,12 +55,10 @@ namespace {
 
 /// A live object track during simulation.
 struct Track {
-  GtObject prototype;          // Class, id, contrast, initial geometry.
+  GtObject prototype;          // Class, id, contrast, initial size.
   int64_t death_frame = 0;     // Exclusive.
   int64_t birth_frame = 0;
   double size_slope = 0.0;     // Relative size change per frame (approach/recede).
-  double vx = 0.0;
-  double vy = 0.0;
 };
 
 /// Lognormal size with the given mean: exp(N(log mean - sigma^2/2, sigma)).
@@ -104,14 +102,17 @@ Track MakeTrack(stats::Rng& rng, ObjectClass cls, int64_t track_id, int64_t birt
   track.prototype.apparent_size = SampleSize(rng, size_mean, size_sigma);
   track.prototype.contrast =
       std::clamp(scene_contrast * (0.85 + 0.3 * rng.NextDouble()), 0.05, 1.0);
-  track.prototype.x = rng.NextDouble();
-  track.prototype.y = rng.NextDouble();
+  // Position draws (x, y): no field keeps them, but dropping them would
+  // shift every later draw and so change every dataset.
+  rng.NextDouble();
+  rng.NextDouble();
   track.birth_frame = birth;
   track.death_frame = birth + SampleDwell(rng, dwell);
   // Approach/recede: up to +-1.5% size change per frame.
   track.size_slope = (rng.NextDouble() - 0.5) * 0.03;
-  track.vx = (rng.NextDouble() - 0.5) * 0.02;
-  track.vy = (rng.NextDouble() - 0.5) * 0.01;
+  // Velocity draws (vx, vy): kept for the same reason.
+  rng.NextDouble();
+  rng.NextDouble();
   return track;
 }
 
@@ -121,8 +122,6 @@ GtObject TrackAt(const Track& track, int64_t t) {
   double age = static_cast<double>(t - track.birth_frame);
   obj.apparent_size =
       std::clamp(obj.apparent_size * (1.0 + track.size_slope * age), 3.0, 450.0);
-  obj.x = std::clamp(obj.x + track.vx * age, 0.0, 1.0);
-  obj.y = std::clamp(obj.y + track.vy * age, 0.0, 1.0);
   return obj;
 }
 

@@ -68,10 +68,11 @@ struct GtObject {
   double apparent_size = 0.0;
   /// Visual contrast in (0, 1]; low at night or under heavy compression.
   double contrast = 1.0;
-  /// Normalized center position in [0,1]^2 (used for clutter statistics).
-  double x = 0.5;
-  double y = 0.5;
 };
+
+// A 1M-frame corpus holds ~13M objects, so every field costs ~100 MB; add
+// one only with a reader for it.
+static_assert(sizeof(GtObject) == 32, "GtObject grew");
 
 /// One video frame: identity plus its ground-truth object list.
 struct Frame {

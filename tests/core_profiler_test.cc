@@ -59,6 +59,15 @@ TEST(CandidateDesignTest, RestrictedClassCombinations) {
   auto sets = RestrictedClassCandidates();
   ASSERT_EQ(sets.size(), 4u);  // none, person, face, person+face.
   EXPECT_TRUE(sets[0].empty());
+  // The order sets the grid's and so every profile's point order.
+  EXPECT_EQ(sets[1], ClassSet({ObjectClass::kPerson}));
+  EXPECT_EQ(sets[2], ClassSet({ObjectClass::kFace}));
+  EXPECT_EQ(sets[3], ClassSet({ObjectClass::kPerson, ObjectClass::kFace}));
+  for (const ClassSet& set : sets) {
+    InterventionSet iv;
+    iv.restricted = set;
+    EXPECT_TRUE(iv.Validate().ok()) << set.ToString();
+  }
 }
 
 TEST(CandidateDesignTest, GridIsCartesianProduct) {
@@ -235,6 +244,21 @@ TEST_F(ProfilerTest, RejectsEmptyCandidates) {
   Profiler profiler(*source_, *prior_, AvgSpec(), opts);
   stats::Rng rng(5);
   EXPECT_FALSE(profiler.Generate({}, rng).ok());
+}
+
+TEST_F(ProfilerTest, RejectsCarRestriction) {
+  // The prior records person and face only, so a car-restricted candidate
+  // is an invalid grid, not a candidate that removes nothing.
+  ProfilerOptions opts;
+  opts.use_correction_set = false;
+  Profiler profiler(*source_, *prior_, AvgSpec(), opts);
+  InterventionSet valid;
+  valid.sample_fraction = 0.1;
+  InterventionSet car = valid;
+  car.restricted.Add(ObjectClass::kCar);
+  stats::Rng rng(6);
+  auto profile = profiler.Generate({valid, car}, rng);
+  EXPECT_EQ(profile.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST_F(ProfilerTest, SlicesSelectMatchingPoints) {

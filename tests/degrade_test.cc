@@ -7,6 +7,7 @@
 #include "degrade/intervention.h"
 #include "detect/models.h"
 #include "video/presets.h"
+#include "video/scene_simulator.h"
 
 namespace smokescreen {
 namespace degrade {
@@ -39,6 +40,28 @@ TEST(InterventionSetTest, ValidationRejectsBadKnobs) {
   EXPECT_FALSE(iv.Validate().ok());
   iv.contrast_scale = 1.2;
   EXPECT_FALSE(iv.Validate().ok());
+}
+
+TEST(InterventionSetTest, ValidationRejectsClassesThePriorDoesNotRecord) {
+  // The prior records person and face only; a car bit would never be set,
+  // so restricting car would silently remove nothing.
+  for (const ClassSet& ok : {ClassSet::None(), ClassSet({ObjectClass::kPerson}),
+                             ClassSet({ObjectClass::kFace}),
+                             ClassSet({ObjectClass::kPerson, ObjectClass::kFace})}) {
+    InterventionSet iv;
+    iv.restricted = ok;
+    EXPECT_TRUE(iv.Validate().ok()) << ok.ToString();
+  }
+  for (const ClassSet& bad : {ClassSet({ObjectClass::kCar}),
+                              ClassSet({ObjectClass::kCar, ObjectClass::kPerson}),
+                              ClassSet({ObjectClass::kCar, ObjectClass::kPerson,
+                                        ObjectClass::kFace})}) {
+    InterventionSet iv;
+    iv.restricted = bad;
+    util::Status status = iv.Validate();
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << bad.ToString();
+    EXPECT_NE(status.message().find("car"), std::string::npos) << status.message();
+  }
 }
 
 TEST(InterventionSetTest, PurityClassification) {
@@ -166,19 +189,40 @@ TEST_F(DegradedViewTest, SampleCappedByEligiblePopulation) {
 }
 
 TEST_F(DegradedViewTest, RemovalOfEverythingFails) {
-  // Restricting "car" on DETRAC removes essentially every frame.
+  // A crowd of large, high-contrast pedestrians instead of the fixture's
+  // DETRAC: YOLOv4 sees a person in every frame, so restricting person+face
+  // leaves nothing to sample.
+  video::SceneConfig crowd;
+  crowd.name = "crowd";
+  crowd.num_frames = 300;
+  crowd.car_rate = 0.0;
+  crowd.person_rate = 0.5;
+  crowd.person_dwell_mean = 100;
+  crowd.person_size_mean = 150;
+  crowd.face_visible_prob = 0.5;
+  crowd.burstiness = 0.0;
+  auto dataset = video::SimulateScene(crowd);
+  ASSERT_TRUE(dataset.ok());
+  detect::SimYoloV4 yolo;
+  detect::SimMtcnn mtcnn;
+  auto prior = detect::ClassPriorIndex::Build(*dataset, yolo, mtcnn);
+  ASSERT_TRUE(prior.ok());
+  InterventionSet iv;
+  iv.restricted = ClassSet({ObjectClass::kPerson, ObjectClass::kFace});
+  ASSERT_TRUE(prior->FramesWithoutAny(iv.restricted).empty())
+      << "the prior must mark every frame for this test to mean anything";
+
   stats::Rng rng(6);
+  auto view = DegradedView::Create(*dataset, *prior, iv, 608, rng);
+  EXPECT_EQ(view.status().code(), util::StatusCode::kFailedPrecondition);
+}
+
+TEST_F(DegradedViewTest, CarRestrictionRejected) {
+  stats::Rng rng(8);
   InterventionSet iv;
   iv.restricted.Add(ObjectClass::kCar);
-  iv.restricted.Add(ObjectClass::kPerson);
-  iv.restricted.Add(ObjectClass::kFace);
   auto view = DegradedView::Create(*dataset_, *prior_, iv, 608, rng);
-  // Either fails outright (all removed) or leaves a tiny eligible set.
-  if (view.ok()) {
-    EXPECT_LT(view->eligible_population(), dataset_->num_frames() / 10);
-  } else {
-    EXPECT_EQ(view.status().code(), util::StatusCode::kFailedPrecondition);
-  }
+  EXPECT_EQ(view.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST_F(DegradedViewTest, InvalidInterventionRejected) {

@@ -176,6 +176,28 @@ TEST(DetectorModelTest, MtcnnOnlyDetectsFaces) {
   }
 }
 
+TEST(DetectorModelTest, MtcnnValidatesEveryClass) {
+  // A face-only model still validates car and person requests: a bad
+  // resolution or frame fails for them exactly as it does for face (and as
+  // it does on every other model).
+  VideoDataset ds = SmallNight();
+  SimMtcnn mtcnn;
+  for (ObjectClass cls : {ObjectClass::kCar, ObjectClass::kPerson, ObjectClass::kFace}) {
+    SCOPED_TRACE(video::ObjectClassName(cls));
+    EXPECT_EQ(mtcnn.CountDetections(ds, 0, 7, cls, 1.0).status().code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(mtcnn.CountDetections(ds, 0, 656, cls, 1.0).status().code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(mtcnn.CountDetections(ds, -1, 7, cls, 1.0).status().code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(mtcnn.CountDetections(ds, -1, 320, cls, 1.0).status().code(),
+              util::StatusCode::kOutOfRange);
+    EXPECT_EQ(mtcnn.CountDetections(ds, ds.num_frames(), 320, cls, 1.0).status().code(),
+              util::StatusCode::kOutOfRange);
+    EXPECT_TRUE(mtcnn.CountDetections(ds, ds.num_frames() - 1, 320, cls, 1.0).ok());
+  }
+}
+
 TEST(DetectorModelTest, OutOfRangeFrameFails) {
   VideoDataset ds = SmallNight();
   SimYoloV4 yolo;
@@ -271,8 +293,8 @@ TEST(CountBatchTest, BitIdenticalToScalarAcrossSweep) {
       ExpectBatchMatchesScalar(mask, *ds, 256, cls, 1.0);
       ExpectBatchMatchesScalar(mask, *ds, 640, cls, 0.7);
       ExpectBatchMatchesScalar(ssd, *ds, 512, cls, 1.0);
-      // MTCNN: kFace takes the calibrated kernel, kCar/kPerson the face-only
-      // zero fill.
+      // MTCNN: kCar/kPerson run the same kernel with a zero plateau and no
+      // false positives.
       ExpectBatchMatchesScalar(mtcnn, *ds, 320, cls, 1.0);
     }
   }
@@ -343,15 +365,54 @@ TEST(CountBatchTest, ErrorLeavesOutputUntouched) {
                      .ok());
     EXPECT_EQ(out, sentinel);
   }
-  // Same contract on the face-only shortcut path (MTCNN non-face classes).
-  {
-    SimMtcnn mtcnn;
+  // Same contract for MTCNN's non-face classes, which count zero: length
+  // mismatch, bad resolution and out-of-range frames.
+  SimMtcnn mtcnn;
+  for (ObjectClass cls : {ObjectClass::kCar, ObjectClass::kPerson}) {
+    SCOPED_TRACE(video::ObjectClassName(cls));
+    {
+      std::vector<int> out = sentinel;
+      std::vector<int64_t> frames = {0, 1, 2};
+      EXPECT_EQ(mtcnn.CountBatch(ds, frames, 320, cls, 1.0,
+                                 std::span<int>(out.data(), out.size()))
+                    .code(),
+                util::StatusCode::kInvalidArgument);
+      EXPECT_EQ(out, sentinel);
+    }
+    {
+      std::vector<int> out = sentinel;
+      std::vector<int64_t> frames = {0, 1, 2, 3, 4};
+      EXPECT_EQ(mtcnn.CountBatch(ds, frames, 7, cls, 1.0,
+                                 std::span<int>(out.data(), out.size()))
+                    .code(),
+                util::StatusCode::kInvalidArgument);
+      EXPECT_EQ(out, sentinel);
+    }
+    {
+      std::vector<int> out(2, -777);
+      std::vector<int64_t> frames = {-5, 1000000};
+      EXPECT_EQ(mtcnn.CountBatch(ds, frames, 320, cls, 1.0,
+                                 std::span<int>(out.data(), out.size()))
+                    .code(),
+                util::StatusCode::kOutOfRange);
+      EXPECT_EQ(out, std::vector<int>(2, -777));
+    }
+    {
+      std::vector<int> out = sentinel;
+      std::vector<int64_t> frames = {0, 1, ds.num_frames(), 3, 4};
+      EXPECT_EQ(mtcnn.CountBatch(ds, frames, 320, cls, 1.0,
+                                 std::span<int>(out.data(), out.size()))
+                    .code(),
+                util::StatusCode::kOutOfRange);
+      EXPECT_EQ(out, sentinel);
+    }
+    // A valid request still counts zero.
     std::vector<int> out = sentinel;
-    std::vector<int64_t> frames = {0, 1, 2};
-    EXPECT_FALSE(mtcnn.CountBatch(ds, frames, 320, ObjectClass::kCar, 1.0,
-                                  std::span<int>(out.data(), out.size()))
-                      .ok());
-    EXPECT_EQ(out, sentinel);
+    std::vector<int64_t> frames = {0, 1, 2, 3, 4};
+    ASSERT_TRUE(mtcnn.CountBatch(ds, frames, 320, cls, 1.0,
+                                 std::span<int>(out.data(), out.size()))
+                    .ok());
+    EXPECT_EQ(out, std::vector<int>(5, 0));
   }
 }
 

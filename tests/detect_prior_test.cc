@@ -77,6 +77,40 @@ TEST(ClassPriorIndexTest, FramesWithoutAnyExcludesExactlyContainingFrames) {
   EXPECT_EQ(static_cast<int64_t>(kept.size()) + containing, fx.prior.num_frames());
 }
 
+TEST(ClassPriorIndexTest, EqualsScalarOracle) {
+  // Build counts in fixed chunks with the batched kernel; the oracle asks
+  // the scalar path one frame at a time. Two full chunks plus a partial one.
+  constexpr int64_t kFrames = 2 * 4096 + 123;
+  SimYoloV4 yolo;
+  SimMtcnn mtcnn;
+  for (ScenePreset preset : {ScenePreset::kNightStreet, ScenePreset::kUaDetrac}) {
+    auto ds = video::MakePresetScaled(preset, kFrames);
+    ASSERT_TRUE(ds.ok());
+    auto prior = ClassPriorIndex::Build(*ds, yolo, mtcnn);
+    ASSERT_TRUE(prior.ok());
+    ASSERT_EQ(prior->num_frames(), kFrames);
+    int64_t persons = 0;
+    int64_t faces = 0;
+    for (int64_t i = 0; i < kFrames; ++i) {
+      auto person =
+          yolo.CountDetections(*ds, i, yolo.max_resolution(), ObjectClass::kPerson, 1.0);
+      auto face = mtcnn.CountDetections(*ds, i, mtcnn.max_resolution(), ObjectClass::kFace, 1.0);
+      ASSERT_TRUE(person.ok());
+      ASSERT_TRUE(face.ok());
+      ASSERT_EQ(prior->Contains(i, ObjectClass::kPerson), *person > 0)
+          << video::ScenePresetName(preset) << " frame " << i;
+      ASSERT_EQ(prior->Contains(i, ObjectClass::kFace), *face > 0)
+          << video::ScenePresetName(preset) << " frame " << i;
+      ASSERT_FALSE(prior->Contains(i, ObjectClass::kCar)) << "car is not recorded";
+      persons += *person > 0;
+      faces += *face > 0;
+    }
+    // Both classes occur, so the comparison above is not vacuous.
+    EXPECT_GT(persons, 0);
+    EXPECT_GT(faces, 0);
+  }
+}
+
 TEST(ClassPriorIndexTest, NightStreetPriorsNearPaperNumbers) {
   // Full-size dataset: paper reports 14.18% person, 4.02% face.
   auto ds = video::MakePreset(ScenePreset::kNightStreet);

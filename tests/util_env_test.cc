@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,17 @@ class EnvTest : public ::testing::Test {
 // Fault-injection suites run under the TSAN CI job by name — keep the
 // FaultEnvTest prefix in sync with the ctest regex in ci.yml.
 using FaultEnvTest = EnvTest;
+
+TEST(TestTempDirTest, IsThisBuildTreesOwnDirectory) {
+  // Under ctest, tests/CMakeLists.txt sets TEST_TMPDIR to a directory of
+  // this build tree, so two trees tested at once never share a temp file
+  // name. Run directly, the binary falls back to /tmp and this case fails.
+  // Some gtest releases append a slash to the variable, some do not.
+  std::string dir = testing::TempDir();
+  if (!dir.empty() && dir.back() == '/') dir.pop_back();
+  EXPECT_EQ(dir, SMK_TEST_TMPDIR);
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+}
 
 TEST(Crc32Test, MatchesKnownVectors) {
   // The standard check value for CRC-32/ISO-HDLC.

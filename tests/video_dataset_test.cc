@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "video/presets.h"
@@ -114,8 +116,6 @@ TEST(VideoDatasetTest, SaveLoadRoundTrip) {
       EXPECT_EQ(a.objects[j].track_id, b.objects[j].track_id);
       EXPECT_EQ(a.objects[j].apparent_size, b.objects[j].apparent_size);
       EXPECT_EQ(a.objects[j].contrast, b.objects[j].contrast);
-      EXPECT_EQ(a.objects[j].x, b.objects[j].x);
-      EXPECT_EQ(a.objects[j].y, b.objects[j].y);
     }
   }
   std::remove(path.c_str());
@@ -150,6 +150,124 @@ TEST(VideoDatasetTest, LoadTruncatedFileFails) {
     out.write(half.data(), static_cast<std::streamsize>(half.size()));
   }
   EXPECT_FALSE(VideoDataset::LoadFrom(path).ok());
+  std::remove(path.c_str());
+}
+
+// Byte offsets of the counts in a file SaveTo wrote for `ds`: the sequence
+// count follows the header (magic, version, name, id, resolution, fps), the
+// first sequence's first_frame follows its name, the frame count follows the
+// sequence table, and the first frame's object count follows that frame's
+// four scalars.
+struct CountOffsets {
+  size_t sequences;
+  size_t first_sequence_start;
+  size_t frames;
+  size_t first_frame_objects;
+};
+
+CountOffsets OffsetsFor(const VideoDataset& ds) {
+  CountOffsets at;
+  at.sequences = 4 + 4 + 8 + ds.name().size() + 8 + 4 + 8;
+  at.first_sequence_start = at.sequences + 8 + 8 + ds.sequences().front().name.size();
+  at.frames = at.sequences + 8;
+  for (const SequenceInfo& seq : ds.sequences()) at.frames += 8 + seq.name.size() + 8 + 8;
+  at.first_frame_objects = at.frames + 8 + 8 + 4 + 8 + 8;
+  return at;
+}
+
+// Saves `ds`, then overwrites the bytes at `offset` with `value`.
+template <typename T>
+std::string SaveAndPatch(const VideoDataset& ds, const std::string& file, size_t offset,
+                         T value) {
+  std::string path = testing::TempDir() + "/" + file;
+  EXPECT_TRUE(ds.SaveTo(path).ok());
+  std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+  io.seekp(static_cast<std::streamoff>(offset));
+  io.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  EXPECT_TRUE(static_cast<bool>(io));
+  return path;
+}
+
+TEST(VideoDatasetTest, LoadRejectsSequenceCountBeyondFile) {
+  VideoDataset ds = MakeSmallDataset();
+  std::string path =
+      SaveAndPatch(ds, "smk_ds_seqs.bin", OffsetsFor(ds).sequences, uint64_t{1} << 62);
+  auto loaded = VideoDataset::LoadFrom(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("sequences"), std::string::npos)
+      << loaded.status().message();
+  std::remove(path.c_str());
+}
+
+TEST(VideoDatasetTest, LoadRejectsFrameCountBeyondFile) {
+  VideoDataset ds = MakeSmallDataset();
+  std::string path =
+      SaveAndPatch(ds, "smk_ds_frames.bin", OffsetsFor(ds).frames, uint64_t{1} << 62);
+  auto loaded = VideoDataset::LoadFrom(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("frames"), std::string::npos)
+      << loaded.status().message();
+  std::remove(path.c_str());
+}
+
+TEST(VideoDatasetTest, LoadRejectsObjectCountBeyondFile) {
+  VideoDataset ds = MakeSmallDataset();
+  std::string path = SaveAndPatch(ds, "smk_ds_objects.bin", OffsetsFor(ds).first_frame_objects,
+                                  uint32_t{0xffffffff});
+  auto loaded = VideoDataset::LoadFrom(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("objects"), std::string::npos)
+      << loaded.status().message();
+  std::remove(path.c_str());
+}
+
+TEST(VideoDatasetTest, LoadRejectsSequenceRangeOutsideFrames) {
+  // A sequence's first_frame and num_frames are followed by the frame count
+  // they must fit inside; ExtractSequence would slice past the frames.
+  VideoDataset ds = MakeSmallDataset();
+  const size_t start = OffsetsFor(ds).first_sequence_start;
+  const size_t length = start + 8;
+  for (const auto& [offset, value] : std::vector<std::pair<size_t, int64_t>>{
+           {start, -1},
+           {length, -1},
+           {length, int64_t{1} << 62},
+           {length, ds.num_frames() + 1},
+           {start, ds.num_frames() + 1}}) {
+    SCOPED_TRACE("offset " + std::to_string(offset) + " value " + std::to_string(value));
+    std::string path = SaveAndPatch(ds, "smk_ds_seq_range.bin", offset, value);
+    auto loaded = VideoDataset::LoadFrom(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("claims first frame"), std::string::npos)
+        << loaded.status().message();
+    std::remove(path.c_str());
+  }
+  // The unpatched file still loads, and every sequence extracts.
+  std::string path = SaveAndPatch(ds, "smk_ds_seq_range.bin", start, int64_t{0});
+  auto loaded = VideoDataset::LoadFrom(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  for (const SequenceInfo& seq : loaded->sequences()) {
+    EXPECT_TRUE(loaded->ExtractSequence(seq.name).ok());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(VideoDatasetTest, LoadRejectsNameLengthBeyondFile) {
+  VideoDataset ds = MakeSmallDataset();
+  // The name length sits right after the magic and version words.
+  std::string path = SaveAndPatch(ds, "smk_ds_name.bin", 8, uint64_t{1} << 40);
+  EXPECT_FALSE(VideoDataset::LoadFrom(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(VideoDatasetTest, LoadRefusesVersion1File) {
+  // Version 1 stored two position doubles per object; this build neither
+  // writes nor reads them.
+  VideoDataset ds = MakeSmallDataset();
+  std::string path = SaveAndPatch(ds, "smk_ds_v1.bin", 4, uint32_t{1});
+  auto loaded = VideoDataset::LoadFrom(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("version 1"), std::string::npos)
+      << loaded.status().message();
   std::remove(path.c_str());
 }
 

@@ -74,9 +74,9 @@ TEST(ClassSetTest, Equality) {
 
 TEST(FrameTest, CountGt) {
   Frame frame;
-  frame.objects.push_back({ObjectClass::kCar, 1, 50, 0.9, 0.5, 0.5});
-  frame.objects.push_back({ObjectClass::kCar, 2, 60, 0.9, 0.5, 0.5});
-  frame.objects.push_back({ObjectClass::kPerson, 3, 40, 0.9, 0.5, 0.5});
+  frame.objects.push_back({ObjectClass::kCar, 1, 50, 0.9});
+  frame.objects.push_back({ObjectClass::kCar, 2, 60, 0.9});
+  frame.objects.push_back({ObjectClass::kPerson, 3, 40, 0.9});
   EXPECT_EQ(frame.CountGt(ObjectClass::kCar), 2);
   EXPECT_EQ(frame.CountGt(ObjectClass::kPerson), 1);
   EXPECT_EQ(frame.CountGt(ObjectClass::kFace), 0);
