@@ -74,6 +74,7 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   metrics_.active_work = registry_->GetGauge("engine.admission.active_work");
   metrics_.admission_wait_seconds =
       registry_->GetStageHistogram("engine.admission.wait.seconds");
+  metrics_.store_save_seconds = registry_->GetStageHistogram("engine.store.save.seconds");
   metrics_.workloads_materialized = registry_->GetCounter("engine.workloads.materialized");
   metrics_.workloads_shared = registry_->GetCounter("engine.workloads.shared");
 }
@@ -231,6 +232,7 @@ Status Runtime::SaveStore(const WorkloadHandle& workload, const std::string& pat
   if (target.empty()) {
     return Status::InvalidArgument("workload has no output-store path configured");
   }
+  util::ScopedSpan save_span(metrics_.store_save_seconds);
   query::OutputStore store = workload->source().ExportStore();
   return store.Save(*env_, target);
 }

@@ -192,7 +192,8 @@ class Runtime {
                                                       SessionConfig config);
 
   /// Persists `workload`'s memo cache to `path` (empty = the workload's
-  /// configured store path) atomically through this runtime's Env.
+  /// configured store path) atomically through this runtime's Env. Each call
+  /// that reaches the export is timed in `engine.store.save.seconds`.
   util::Status SaveStore(const WorkloadHandle& workload, const std::string& path = "");
 
   /// RAII admission permit: holding one means the caller is inside the
@@ -266,6 +267,7 @@ class Runtime {
     util::Gauge* admission_queue_depth = nullptr;
     util::Gauge* active_work = nullptr;
     util::Histogram* admission_wait_seconds = nullptr;
+    util::Histogram* store_save_seconds = nullptr;
     util::Counter* workloads_materialized = nullptr;
     util::Counter* workloads_shared = nullptr;
   };

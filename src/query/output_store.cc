@@ -18,29 +18,26 @@ constexpr uint32_t kMagic = 0x434b4d53;  // "SMKC" little-endian.
 constexpr uint32_t kVersionV1 = 1;
 constexpr uint32_t kVersionV2 = 2;
 
-// Byte sizes of the fixed per-column prefixes.
+// Byte sizes of the header and of the fixed per-column prefixes.
+constexpr size_t kHeaderSize = 4 + 4 + 8 + 8 + 8 + 4 + 4;
+constexpr size_t kV1MetaSize = 4 + 4 + 8 + 8 + 4;           // ... + payload_crc.
 constexpr size_t kV2MetaSize = 4 + 4 + 8 + 8 + 4 + 4 + 4;  // ... + meta_crc.
 constexpr size_t kV2MetaCrcCovered = kV2MetaSize - 4;      // Fields before meta_crc.
+constexpr size_t kEntrySize = sizeof(int64_t) + sizeof(int);  // One frame + its count.
 
 // Byte-buffer writer/reader for fixed-width fields. Values are written in
 // the host representation; the format is not meant for cross-endian
 // exchange, and the CRCs catch accidental reinterpretation.
 class Writer {
  public:
+  /// `capacity` is the final image size: the buffer is allocated once and
+  /// every byte is copied into it once.
+  explicit Writer(size_t capacity) { bytes_.reserve(capacity); }
+
   template <typename T>
-  void Put(T value) {
-    const size_t offset = bytes_.size();
-    bytes_.resize(offset + sizeof(T));
-    std::memcpy(bytes_.data() + offset, &value, sizeof(T));
-  }
+  void Put(T value) { Append(&value, sizeof(T)); }
   template <typename T>
-  void PutArray(const std::vector<T>& values) {
-    const size_t offset = bytes_.size();
-    bytes_.resize(offset + values.size() * sizeof(T));
-    if (!values.empty()) {
-      std::memcpy(bytes_.data() + offset, values.data(), values.size() * sizeof(T));
-    }
-  }
+  void PutArray(const std::vector<T>& values) { Append(values.data(), values.size() * sizeof(T)); }
   uint32_t CrcOfSuffix(size_t from) const {
     return Crc32(bytes_.data() + from, bytes_.size() - from);
   }
@@ -48,6 +45,11 @@ class Writer {
   std::vector<unsigned char> TakeBytes() { return std::move(bytes_); }
 
  private:
+  void Append(const void* data, size_t n) {
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    bytes_.insert(bytes_.end(), p, p + n);
+  }
+
   std::vector<unsigned char> bytes_;
 };
 
@@ -145,7 +147,15 @@ std::string LoadReport::Summary() const {
 }
 
 Result<std::vector<unsigned char>> OutputStore::Serialize() const {
-  Writer w;
+  size_t image_size = kHeaderSize;
+  for (const OutputColumnRecord& column : columns_) {
+    if (column.frames.size() != column.counts.size()) {
+      return Status::InvalidArgument("output store column has mismatched frame/count arrays");
+    }
+    image_size += kV2MetaSize + column.frames.size() * kEntrySize;
+  }
+
+  Writer w(image_size);
   w.Put<uint32_t>(kMagic);
   w.Put<uint32_t>(kVersionV2);
   w.Put<uint64_t>(dataset_id_);
@@ -155,9 +165,6 @@ Result<std::vector<unsigned char>> OutputStore::Serialize() const {
   w.Put<uint32_t>(w.CrcOfSuffix(0));  // header_crc covers all prior bytes.
 
   for (const OutputColumnRecord& column : columns_) {
-    if (column.frames.size() != column.counts.size()) {
-      return Status::InvalidArgument("output store column has mismatched frame/count arrays");
-    }
     const size_t meta_start = w.size();
     w.Put<int32_t>(column.resolution);
     w.Put<int32_t>(column.cls);
@@ -191,7 +198,6 @@ Result<OutputStore::SalvageResult> OutputStore::Salvage(util::Env& env, const st
 
   // --- Header: all-or-nothing. A store whose header does not verify cannot
   // attribute ANY byte to a dataset/model, so there is nothing to salvage.
-  constexpr size_t kHeaderSize = 4 + 4 + 8 + 8 + 8 + 4 + 4;
   if (r.remaining() < kHeaderSize) {
     return Status::DataLoss("output store header truncated (" + std::to_string(bytes.size()) +
                             " bytes): " + path);
@@ -218,13 +224,21 @@ Result<OutputStore::SalvageResult> OutputStore::Salvage(util::Env& env, const st
   if (header_crc != r.CrcOfRange(0, header_end)) {
     return Status::DataLoss("output store header CRC mismatch: " + path);
   }
+  // A column takes at least its fixed prefix. A header declaring more
+  // columns than the rest of the file could hold is forged or garbled
+  // despite its CRC, and trusting it would size allocations from it.
+  const size_t meta_size = version == kVersionV2 ? kV2MetaSize : kV1MetaSize;
+  if (num_columns > r.remaining() / meta_size) {
+    return Status::DataLoss("output store header declares " + std::to_string(num_columns) +
+                            " columns, more than its " + std::to_string(bytes.size()) +
+                            " bytes can hold: " + path);
+  }
   report.columns_total = num_columns;
   store.columns_.reserve(num_columns);
 
   // --- Columns: per-column verdicts. Anything that verifies loads; anything
   // that does not is quarantined with as much identity as can be trusted.
   for (int64_t c = 0; c < report.columns_total; ++c) {
-    const size_t meta_size = version == kVersionV2 ? kV2MetaSize : (4 + 4 + 8 + 8 + 4);
     if (r.remaining() < meta_size) {
       Quarantine(report, ColumnVerdict::kTruncated, 0, 0, 0, 0);
       QuarantineTail(report, c + 1, report.columns_total);
@@ -243,8 +257,7 @@ Result<OutputStore::SalvageResult> OutputStore::Salvage(util::Env& env, const st
       const uint32_t meta_crc = r.Take<uint32_t>();
       if (meta_crc != r.CrcOfRange(meta_start, meta_start + kV2MetaCrcCovered) ||
           num_entries < 0 ||
-          static_cast<uint64_t>(num_entries) >
-              std::numeric_limits<size_t>::max() / (sizeof(int64_t) + sizeof(int))) {
+          static_cast<uint64_t>(num_entries) > std::numeric_limits<size_t>::max() / kEntrySize) {
         // Lengths are untrusted: this column cannot be stepped over, so the
         // declared tail behind it is unreachable too.
         Quarantine(report, ColumnVerdict::kMetaCorrupt, 0, 0, 0, 0);
@@ -254,8 +267,7 @@ Result<OutputStore::SalvageResult> OutputStore::Salvage(util::Env& env, const st
     } else {
       payload_crc = r.Take<uint32_t>();
       if (num_entries < 0 ||
-          static_cast<uint64_t>(num_entries) >
-              std::numeric_limits<size_t>::max() / (sizeof(int64_t) + sizeof(int))) {
+          static_cast<uint64_t>(num_entries) > std::numeric_limits<size_t>::max() / kEntrySize) {
         // v1 has no meta CRC; a nonsensical length is the only detectable
         // metadata desync.
         Quarantine(report, ColumnVerdict::kMetaCorrupt, 0, 0, 0, 0);

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -14,17 +15,35 @@ namespace util {
 
 namespace {
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slice-by-8 reads eight input bytes as one little-endian word, so the
+// lowest-addressed byte must land in the word's low bits.
+static_assert(std::endian::native == std::endian::little,
+              "util::Crc32's slice-by-8 loop assumes a little-endian host");
+
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+// tables[0] is the classic bytewise table; tables[k][b] is the CRC register
+// after byte b is followed by k zero bytes, so one lookup per byte of an
+// 8-byte word advances the register over the whole word.
+constexpr CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
 
 Status ErrnoStatus(const std::string& op, const std::string& path) {
   return Status::IoError(op + " failed for " + path + ": " + std::strerror(errno));
@@ -134,11 +153,19 @@ class FaultWritableFile : public WritableFile {
 };
 
 uint32_t Crc32(const void* data, size_t len, uint32_t crc) {
-  static const std::array<uint32_t, 256> table = BuildCrcTable();
+  const CrcTables& t = kCrcTables;
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
   crc = ~crc;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; bytes += 8, len -= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, bytes, sizeof(word));
+    word ^= crc;
+    crc = t[7][word & 0xFFu] ^ t[6][(word >> 8) & 0xFFu] ^ t[5][(word >> 16) & 0xFFu] ^
+          t[4][(word >> 24) & 0xFFu] ^ t[3][(word >> 32) & 0xFFu] ^
+          t[2][(word >> 40) & 0xFFu] ^ t[1][(word >> 48) & 0xFFu] ^ t[0][word >> 56];
+  }
+  for (; len > 0; ++bytes, --len) {
+    crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }
@@ -155,8 +182,11 @@ Status Env::WriteFileAtomic(const std::string& path, std::span<const unsigned ch
     SMK_RETURN_IF_ERROR(file->Close());
     if (verify_readback) {
       SMK_ASSIGN_OR_RETURN(std::vector<unsigned char> readback, ReadFileBytes(tmp));
+      // Byte for byte: an exact compare, strictly stronger than comparing
+      // two CRCs. An empty span or vector may hold a null pointer, which
+      // memcmp must not see.
       if (readback.size() != data.size() ||
-          Crc32(readback.data(), readback.size()) != Crc32(data.data(), data.size())) {
+          (!data.empty() && std::memcmp(readback.data(), data.data(), data.size()) != 0)) {
         return Status::DataLoss("atomic write readback mismatch (silent write corruption): " +
                                 tmp);
       }

@@ -15,10 +15,10 @@
 //    same operation sequence reproduces the same fault pattern bit-for-bit.
 //
 // The atomic-save protocol lives here once, not in every caller:
-// WriteFileAtomic writes `<path>.tmp`, fsyncs it, optionally re-reads and
-// verifies the bytes, then renames over `path`. A failure at ANY step leaves
-// the previous `path` contents untouched — a crashed or faulty save can
-// never destroy the last committed file.
+// WriteFileAtomic writes `<path>.tmp`, fsyncs it, optionally re-reads it and
+// compares the bytes with what was written, then renames over `path`. A
+// failure at ANY step leaves the previous `path` contents untouched — a
+// crashed or faulty save can never destroy the last committed file.
 
 #ifndef SMOKESCREEN_UTIL_ENV_H_
 #define SMOKESCREEN_UTIL_ENV_H_
@@ -35,8 +35,10 @@
 namespace smokescreen {
 namespace util {
 
-/// Standard CRC32 (reflected, polynomial 0xEDB88320), table-driven. Pass a
-/// previous return value as `crc` to continue a running checksum.
+/// Standard CRC32 (reflected, polynomial 0xEDB88320), computed slice-by-8:
+/// eight table lookups per 8-byte little-endian load, then a bytewise tail.
+/// Little-endian hosts only (checked at compile time). Pass a previous return
+/// value as `crc` to continue a running checksum.
 uint32_t Crc32(const void* data, size_t len, uint32_t crc = 0);
 
 /// A file opened for (truncating) sequential write.
@@ -65,11 +67,12 @@ class Env {
   virtual bool FileExists(const std::string& path) = 0;
 
   /// Crash-safe whole-file write: writes `<path>.tmp`, fsyncs, optionally
-  /// reads the bytes back and verifies them (catching silent write-path
-  /// corruption before it is committed), then renames onto `path`. On any
-  /// failure the previous `path` contents are untouched and the tmp file is
-  /// best-effort removed. Built on the virtual primitives, so a FaultEnv
-  /// perturbs every step.
+  /// reads the bytes back and compares them byte for byte with `data`
+  /// (catching silent write-path corruption before it is committed; a
+  /// mismatch is DataLoss), then renames onto `path`. On any failure the
+  /// previous `path` contents are untouched and the tmp file is best-effort
+  /// removed. Built on the virtual primitives, so a FaultEnv perturbs every
+  /// step.
   Status WriteFileAtomic(const std::string& path, std::span<const unsigned char> data,
                          bool verify_readback = false);
 

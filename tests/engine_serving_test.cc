@@ -338,6 +338,31 @@ TEST(EngineRuntimeTest, WorkloadStoreRoundTripAndBadDirectoryFailsEarly) {
   EXPECT_EQ(workload.status().code(), util::StatusCode::kInvalidArgument);
 }
 
+TEST(EngineRuntimeTest, SaveStoreIsTimedInTheInjectedRegistry) {
+  const std::string path = testing::TempDir() + "/engine_store_timed.smkc";
+  std::remove(path.c_str());
+  util::MetricsRegistry registry;
+  RuntimeOptions options;
+  options.registry = &registry;
+  auto runtime = Runtime::Create(options);
+  ASSERT_TRUE(runtime.ok());
+  WorkloadDesc desc;
+  desc.preset = video::ScenePreset::kUaDetrac;
+  desc.frames = 150;
+  desc.output_store_path = path;
+  auto workload = (*runtime)->GetWorkload(desc);
+  ASSERT_TRUE(workload.ok());
+  std::vector<int64_t> frames = {0, 1, 2};
+  std::vector<int> counts(frames.size(), 0);
+  ASSERT_TRUE((*workload)->source().FillCounts(frames, 320, 1.0, counts).ok());
+
+  ASSERT_TRUE((*runtime)->SaveStore(*workload).ok());
+  ASSERT_TRUE((*runtime)->SaveStore(*workload).ok());
+  const util::Histogram* saves = registry.GetStageHistogram("engine.store.save.seconds");
+  EXPECT_EQ(saves->TotalCount(), 2);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Serving: concurrent sessions, bit-identity, exact accounting
 

@@ -96,6 +96,59 @@ OutputStore MakeSampleStore() {
 constexpr size_t kSampleCol1 = kHeaderSize;                              // 4 entries
 constexpr size_t kSampleCol2 = kSampleCol1 + kColumnMetaSize + 4 * 12;   // 2 entries
 
+// MakeSampleStore()'s v2 image, captured from the writer whose CRC32 ran
+// one byte per table lookup. Every CRC field in it is frozen too.
+const std::vector<unsigned char> kSampleV2Image = {
+    // Header: magic, version 2, dataset_id, model_id, num_frames 300,
+    // 2 columns, header_crc.
+    0x53, 0x4d, 0x4b, 0x43, 0x02, 0x00, 0x00, 0x00, 0xd5, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x7e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x2c, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0xfe, 0xf8, 0x32, 0x08,
+    // Column 1: resolution 320, car, contrast_q 4096, 4 entries, frames_crc,
+    // counts_crc, meta_crc; frames {0, 3, 17, 299}; counts {2, 0, 5, 11}.
+    0x40, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x3e, 0x26, 0x30, 0x0b, 0x53, 0xe7, 0xfa, 0xf4,
+    0x1d, 0xee, 0xdd, 0xd9, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x11, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x2b, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x0b, 0x00, 0x00, 0x00,
+    // Column 2: resolution 608, car, contrast_q 2048, 2 entries, frames_crc,
+    // counts_crc, meta_crc; frames {8, 9}; counts {1, 4}.
+    0x60, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x31, 0xcf, 0xe7, 0x80, 0xa0, 0x48, 0xea, 0x26,
+    0xf3, 0xf8, 0xe0, 0x40, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00,
+};
+
+TEST_F(OutputStoreTest, SerializeMatchesFrozenV2Image) {
+  ASSERT_EQ(kSampleV2Image.size(), kSampleCol2 + kColumnMetaSize + 2 * 12);
+  auto image = MakeSampleStore().Serialize();
+  ASSERT_TRUE(image.ok());
+  EXPECT_EQ(*image, kSampleV2Image);
+
+  // The frozen bytes load back to the sample columns.
+  WriteBytes(std::vector<char>(kSampleV2Image.begin(), kSampleV2Image.end()));
+  auto loaded = OutputStore::Load(path_);
+  ASSERT_TRUE(loaded.ok());
+  const OutputStore want = MakeSampleStore();
+  EXPECT_EQ(loaded->dataset_id(), want.dataset_id());
+  EXPECT_EQ(loaded->model_id(), want.model_id());
+  EXPECT_EQ(loaded->num_frames(), want.num_frames());
+  ASSERT_EQ(loaded->columns().size(), want.columns().size());
+  for (size_t i = 0; i < want.columns().size(); ++i) {
+    EXPECT_EQ(loaded->columns()[i].resolution, want.columns()[i].resolution);
+    EXPECT_EQ(loaded->columns()[i].cls, want.columns()[i].cls);
+    EXPECT_EQ(loaded->columns()[i].contrast_q, want.columns()[i].contrast_q);
+    EXPECT_EQ(loaded->columns()[i].frames, want.columns()[i].frames);
+    EXPECT_EQ(loaded->columns()[i].counts, want.columns()[i].counts);
+  }
+}
+
 TEST_F(OutputStoreTest, SaveLoadRoundTripPreservesEverything) {
   OutputStore store = MakeSampleStore();
   ASSERT_TRUE(store.Save(path_).ok());
@@ -304,6 +357,76 @@ TEST_F(OutputStoreTest, SalvageStopsAtCorruptMetadata) {
   ASSERT_EQ(salvaged->report.quarantined.size(), 2u);
   EXPECT_EQ(salvaged->report.quarantined[0].verdict, ColumnVerdict::kMetaCorrupt);
   EXPECT_EQ(salvaged->report.quarantined[1].verdict, ColumnVerdict::kTruncated);
+}
+
+// A header whose CRC verifies but whose column count the rest of the file
+// could not hold: `trailing` bytes follow the 40-byte header.
+std::vector<char> ForgedHeaderFile(uint32_t version, uint32_t num_columns, size_t trailing) {
+  std::vector<char> bytes;
+  auto put = [&bytes](const void* data, size_t n) {
+    const char* p = static_cast<const char*>(data);
+    bytes.insert(bytes.end(), p, p + n);
+  };
+  auto put32 = [&put](uint32_t v) { put(&v, 4); };
+  auto put64 = [&put](uint64_t v) { put(&v, 8); };
+  put32(0x434b4d53);  // magic "SMKC"
+  put32(version);
+  put64(0xD5);  // dataset_id
+  put64(0x7E);  // model_id
+  put64(300);   // num_frames
+  put32(num_columns);
+  put32(util::Crc32(bytes.data(), bytes.size()));  // header_crc
+  bytes.resize(bytes.size() + trailing, '\0');
+  return bytes;
+}
+
+TEST_F(OutputStoreTest, HeaderDeclaringMoreColumnsThanTheFileHoldsIsDataLoss) {
+  // 2^32-1 columns in a 40-byte file used to abort the process in the
+  // columns reserve; 10^8 columns did so under an address-space limit.
+  for (uint32_t num_columns : {0xFFFFFFFFu, 100000000u}) {
+    WriteBytes(ForgedHeaderFile(/*version=*/2, num_columns, /*trailing=*/0));
+    auto salvaged = OutputStore::Salvage(path_);
+    ASSERT_FALSE(salvaged.ok()) << num_columns;
+    EXPECT_EQ(salvaged.status().code(), util::StatusCode::kDataLoss) << num_columns;
+    EXPECT_EQ(OutputStore::Load(path_).status().code(), util::StatusCode::kDataLoss);
+    EXPECT_EQ(OutputStore::Scrub(util::Env::Default(), path_).status().code(),
+              util::StatusCode::kDataLoss);
+  }
+  // One byte short of the minimum: 36 bytes per v2 column, 28 per v1.
+  WriteBytes(ForgedHeaderFile(/*version=*/2, 3, /*trailing=*/3 * kColumnMetaSize - 1));
+  EXPECT_EQ(OutputStore::Salvage(path_).status().code(), util::StatusCode::kDataLoss);
+  WriteBytes(ForgedHeaderFile(/*version=*/1, 3, /*trailing=*/3 * 28 - 1));
+  EXPECT_EQ(OutputStore::Salvage(path_).status().code(), util::StatusCode::kDataLoss);
+  // At the v1 minimum the header is believable: a zeroed v1 column is an
+  // empty one (the CRC of no bytes is 0), so all three load.
+  WriteBytes(ForgedHeaderFile(/*version=*/1, 3, /*trailing=*/3 * 28));
+  auto salvaged = OutputStore::Salvage(path_);
+  ASSERT_TRUE(salvaged.ok());
+  EXPECT_TRUE(salvaged->report.clean());
+  EXPECT_EQ(salvaged->report.columns_loaded, 3);
+}
+
+TEST_F(OutputStoreTest, StoreOfEmptyColumnsSalvagesClean) {
+  // N empty columns fill the file exactly at the 36-byte minimum per column.
+  constexpr int kColumns = 5;
+  OutputStore store(/*dataset_id=*/0xD5, /*model_id=*/0x7E, /*num_frames=*/300);
+  for (int i = 0; i < kColumns; ++i) {
+    OutputColumnRecord column;
+    column.resolution = 320 + 32 * i;
+    column.cls = static_cast<int>(ObjectClass::kCar);
+    column.contrast_q = 4096;
+    store.AddColumn(std::move(column));
+  }
+  ASSERT_TRUE(store.Save(path_).ok());
+  ASSERT_EQ(ReadBytes().size(), kHeaderSize + kColumns * kColumnMetaSize);
+
+  auto salvaged = OutputStore::Salvage(path_);
+  ASSERT_TRUE(salvaged.ok());
+  EXPECT_TRUE(salvaged->report.clean());
+  EXPECT_EQ(salvaged->report.columns_loaded, kColumns);
+  ASSERT_EQ(salvaged->store.columns().size(), static_cast<size_t>(kColumns));
+  EXPECT_EQ(salvaged->store.columns()[kColumns - 1].resolution, 320 + 32 * (kColumns - 1));
+  EXPECT_EQ(salvaged->store.TotalEntries(), 0);
 }
 
 TEST_F(OutputStoreTest, SalvageOfCleanFileIsClean) {

@@ -1,6 +1,7 @@
-// util::Env: CRC32 correctness, PosixEnv round trips, the atomic-save
-// protocol's crash behavior, and FaultEnv's deterministic fault injection —
-// same profile + same operation sequence must reproduce the same faults.
+// util::Env: CRC32 correctness against a bytewise reference, PosixEnv round
+// trips, the atomic-save protocol's crash behavior, and FaultEnv's
+// deterministic fault injection — same profile + same operation sequence
+// must reproduce the same faults.
 
 #include "util/env.h"
 
@@ -17,6 +18,36 @@ namespace {
 
 std::vector<unsigned char> Bytes(const std::string& s) {
   return std::vector<unsigned char>(s.begin(), s.end());
+}
+
+// The bytewise table-driven CRC32 that util::Crc32 replaced, kept as the
+// reference its slice-by-8 loop must match on every length and alignment.
+uint32_t ReferenceCrc32(const void* data, size_t len, uint32_t crc = 0) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      t[i] = c;
+    }
+    return t;
+  }();
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  crc = ~crc;
+  for (size_t i = 0; i < len; ++i) crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  return ~crc;
+}
+
+// Deterministic pseudo-random bytes (a 64-bit LCG's top byte per step), so
+// a pinned CRC value stays meaningful across platforms and releases.
+std::vector<unsigned char> LcgBytes(size_t n) {
+  std::vector<unsigned char> bytes(n);
+  uint64_t state = 1;
+  for (unsigned char& b : bytes) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<unsigned char>(state >> 56);
+  }
+  return bytes;
 }
 
 class EnvTest : public ::testing::Test {
@@ -60,6 +91,38 @@ TEST(Crc32Test, MatchesKnownVectors) {
   EXPECT_EQ(Crc32(s.data() + 5, s.size() - 5, partial), Crc32(s.data(), s.size()));
 }
 
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-300 cover the empty input, tails of every size, and many full
+  // 8-byte words; offsets 0-7 start the words at every alignment.
+  const std::vector<unsigned char> data = LcgBytes(300 + 8);
+  for (uint32_t running : {0u, 0xFFFFFFFFu, 0x8E4D2C17u, 0x1A2B3C4Du}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t len = 0; len <= 300; ++len) {
+        ASSERT_EQ(Crc32(data.data() + offset, len, running),
+                  ReferenceCrc32(data.data() + offset, len, running))
+            << "offset " << offset << " len " << len << " running " << running;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, ChainingAtEverySplitMatchesOneShot) {
+  const std::vector<unsigned char> data = LcgBytes(1024);
+  const uint32_t whole = Crc32(data.data(), data.size());
+  EXPECT_EQ(whole, ReferenceCrc32(data.data(), data.size()));
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const uint32_t head = Crc32(data.data(), split);
+    ASSERT_EQ(Crc32(data.data() + split, data.size() - split, head), whole) << "split " << split;
+  }
+}
+
+TEST(Crc32Test, OneMebibyteValueIsPinned) {
+  // Computed by the bytewise implementation this one replaced; store files
+  // carry these CRCs, so the value must never move.
+  const std::vector<unsigned char> data = LcgBytes(size_t{1} << 20);
+  EXPECT_EQ(Crc32(data.data(), data.size()), 0x8FB10EF1u);
+}
+
 TEST(Crc32Test, DetectsSingleBitFlips) {
   std::vector<unsigned char> data(256);
   for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<unsigned char>(i);
@@ -97,6 +160,26 @@ TEST_F(EnvTest, WriteFileAtomicCommitsAndCleansUp) {
   auto bytes = env.ReadFileBytes(path_);
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(*bytes, data);
+}
+
+TEST_F(EnvTest, WriteFileAtomicCommitsAnEmptyFile) {
+  Env& env = Env::Default();
+  ASSERT_TRUE(env.WriteFileAtomic(path_, {}, /*verify_readback=*/true).ok());
+  EXPECT_FALSE(env.FileExists(path_ + ".tmp"));
+  auto bytes = env.ReadFileBytes(path_);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_TRUE(bytes->empty());
+}
+
+TEST_F(FaultEnvTest, CleanFaultEnvCommitsAnEmptyFile) {
+  auto env = FaultEnv::Create(FaultEnvProfile::Clean());
+  ASSERT_TRUE(env.ok());
+  ASSERT_TRUE(env->WriteFileAtomic(path_, {}, /*verify_readback=*/true).ok());
+  EXPECT_FALSE(env->FileExists(path_ + ".tmp"));
+  auto bytes = Env::Default().ReadFileBytes(path_);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_TRUE(bytes->empty());
+  EXPECT_EQ(env->faults_injected(), 0);
 }
 
 TEST_F(FaultEnvTest, CleanFaultEnvIsAPassthrough) {
