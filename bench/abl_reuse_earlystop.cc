@@ -48,12 +48,13 @@ int main() {
     opts.early_stop_tolerance = 0.01;
     core::Profiler profiler(*wl.source, *wl.prior, spec, opts);
     stats::Rng rng(42);
-    wl.source->ResetCounters();
+    const int64_t invocations_before = wl.source->model_invocations();
+    const int64_t hits_before = wl.source->cache_hits();
     auto profile = profiler.Generate(*grid, rng);
     profile.status().CheckOk();
     table.AddRow({std::string("reuse ON,  early-stop ") + (early_stop ? "ON " : "OFF"),
-                  std::to_string(wl.source->model_invocations()),
-                  std::to_string(wl.source->cache_hits()),
+                  std::to_string(wl.source->model_invocations() - invocations_before),
+                  std::to_string(wl.source->cache_hits() - hits_before),
                   std::to_string(profile->points.size())});
   }
 
@@ -63,7 +64,8 @@ int main() {
     auto grid = core::BuildCandidateGrid(*wl.model, grid_opts);
     grid.status().CheckOk();
     stats::Rng rng(42);
-    wl.source->ResetCounters();
+    const int64_t invocations_before = wl.source->model_invocations();
+    const int64_t hits_before = wl.source->cache_hits();
     int64_t points = 0;
     // Walk candidates in the profiler's order (grouped, ascending fraction)
     // so early stopping is comparable.
@@ -87,8 +89,9 @@ int main() {
       }
     }
     table.AddRow({std::string("reuse OFF, early-stop ") + (early_stop ? "ON " : "OFF"),
-                  std::to_string(wl.source->model_invocations()),
-                  std::to_string(wl.source->cache_hits()), std::to_string(points)});
+                  std::to_string(wl.source->model_invocations() - invocations_before),
+                  std::to_string(wl.source->cache_hits() - hits_before),
+                  std::to_string(points)});
   }
 
   table.Print(std::cout);

@@ -3,6 +3,8 @@
 // reported numbers.
 
 #include <cstdio>
+#include <numeric>
+#include <vector>
 
 #include "core/avg_estimator.h"
 #include "core/estimator_api.h"
@@ -40,12 +42,14 @@ int main() {
     auto gt = query::ComputeGroundTruth(source, spec);
     gt.status().CheckOk();
     std::printf("  y_true(avg cars, yolo@max) = %.4f\n", gt->y_true);
+    std::vector<int64_t> frames(static_cast<size_t>(d.num_frames()));
+    std::iota(frames.begin(), frames.end(), int64_t{0});
     for (int res : {64, 128, 192, 256, 320, 384, 448, 512, 576, 608}) {
-      auto out = source.AllOutputs(spec, res);
-      out.status().CheckOk();
+      query::OutputColumn out;
+      source.AppendOutputs(spec, frames, res, 1.0, out).CheckOk();
       double sum = 0;
-      for (double v : *out) sum += v;
-      double avg = sum / static_cast<double>(out->size());
+      for (double v : out.outputs) sum += v;
+      double avg = sum / static_cast<double>(out.size());
       std::printf("    res %3d: avg=%.4f rel_err=%.4f\n", res, avg,
                   query::RelativeError(avg, gt->y_true));
     }

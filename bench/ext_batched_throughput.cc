@@ -24,6 +24,7 @@
 #include <fstream>
 #include <iostream>
 #include <numeric>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -141,17 +142,18 @@ int main(int argc, char** argv) {
     std::vector<int64_t> all_frames(static_cast<size_t>(wl.dataset->num_frames()));
     std::iota(all_frames.begin(), all_frames.end(), int64_t{0});
 
-    // Scalar baseline: one RawCount (one model invocation) per frame.
-    std::vector<int> scalar_counts;
-    scalar_counts.reserve(all_frames.size());
+    // Scalar baseline: one single-frame FillCounts (one model invocation)
+    // per frame.
+    std::vector<int> scalar_counts(all_frames.size());
     double scalar_seconds = 0.0;
     {
       query::FrameOutputSource source(*wl.dataset, model, video::ObjectClass::kCar);
+      std::span<const int64_t> frames_span(all_frames);
+      std::span<int> counts_span(scalar_counts);
       util::Timer timer;
-      for (int64_t frame : all_frames) {
-        auto count = source.RawCount(frame, resolution);
-        count.status().CheckOk();
-        scalar_counts.push_back(*count);
+      for (size_t i = 0; i < all_frames.size(); ++i) {
+        source.FillCounts(frames_span.subspan(i, 1), resolution, 1.0, counts_span.subspan(i, 1))
+            .CheckOk();
       }
       scalar_seconds = timer.ElapsedSeconds();
     }
@@ -163,16 +165,16 @@ int main(int argc, char** argv) {
       // Fresh source per run: every run pays the full model cost.
       query::FrameOutputSource source(*wl.dataset, model, video::ObjectClass::kCar);
       source.set_max_batch_size(batch_size);
+      std::vector<int> counts(all_frames.size());
       util::Timer timer;
-      auto counts = source.RawCounts(all_frames, resolution);
-      counts.status().CheckOk();
+      source.FillCounts(all_frames, resolution, 1.0, counts).CheckOk();
 
       SweepPoint point;
       point.batch_size = batch_size;
       point.seconds = timer.ElapsedSeconds();
       point.fps = static_cast<double>(all_frames.size()) / point.seconds;
       point.speedup = point.fps / scalar_fps;
-      point.identical = *counts == scalar_counts;
+      point.identical = counts == scalar_counts;
       all_identical = all_identical && point.identical;
       if (batch_size == 512) speedup_at_512 = point.speedup;
       sweep.push_back(point);

@@ -57,9 +57,10 @@ int main() {
     for (int t = 0; t < kTrials; ++t) {
       auto batch = cam.CaptureAndTransmit(*link, rng);
       batch.status().CheckOk();
-      auto outputs = wl.source->Outputs(spec, batch->frame_indices, batch->resolution);
-      outputs.status().CheckOk();
-      auto est = estimator.EstimateMean(*outputs, batch->eligible_population, kDelta);
+      query::OutputColumn outputs;
+      wl.source->AppendOutputs(spec, batch->frame_indices, batch->resolution, 1.0, outputs)
+          .CheckOk();
+      auto est = estimator.EstimateMean(outputs.outputs, batch->eligible_population, kDelta);
       est.status().CheckOk();
       clean_bound += est->err_b;
     }
@@ -90,9 +91,10 @@ int main() {
         batch.status().CheckOk();
         delivered += batch->DeliveryFraction();
         if (batch->frame_indices.empty()) continue;  // Nothing survived.
-        auto outputs = wl.source->Outputs(spec, batch->frame_indices, batch->resolution);
-        outputs.status().CheckOk();
-        auto est = estimator.EstimateMean(*outputs, batch->eligible_population, kDelta);
+        query::OutputColumn outputs;
+        wl.source->AppendOutputs(spec, batch->frame_indices, batch->resolution, 1.0, outputs)
+            .CheckOk();
+        auto est = estimator.EstimateMean(outputs.outputs, batch->eligible_population, kDelta);
         est.status().CheckOk();
         bound += est->err_b;
         if (core::CoversTruth(*est, gt->y_true)) ++covered;

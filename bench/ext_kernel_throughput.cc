@@ -18,7 +18,9 @@
 //   * columnar+pool  — end-to-end cold FrameOutputSource run: the same
 //                      kernel underneath the memo-cache substrate, with
 //                      the miss-batch fanned out across a util::ThreadPool
-//                      (intra-batch parallelism).
+//                      (intra-batch parallelism). The source engages its
+//                      pool only for at least 32 misses per worker, so
+//                      --frames below 32 x the pool width is a usage error.
 //
 // aos-scalar and columnar call the detector directly (no cache) so the
 // ratio isolates the kernel; columnar+pool includes the cache substrate,
@@ -37,7 +39,7 @@
 // default).
 //
 // Usage: ext_kernel_throughput [--frames N] [--threads T] [--repeats R]
-//          [--pool-min-chunk N] [--out FILE]
+//          [--out FILE]
 
 #include <cstdio>
 #include <fstream>
@@ -79,7 +81,6 @@ int main(int argc, char** argv) {
   int64_t frames = 12000;
   int64_t threads = 0;  // 0 = hardware concurrency.
   int64_t repeats = 7;
-  int64_t pool_min_chunk = 0;  // 0 = source default.
   std::string out_path = "BENCH_kernel.json";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -98,24 +99,27 @@ int main(int argc, char** argv) {
       next_int(&threads);
     } else if (arg == "--repeats") {
       next_int(&repeats);
-    } else if (arg == "--pool-min-chunk") {
-      next_int(&pool_min_chunk);
-      if (pool_min_chunk < 0) {
-        std::fprintf(stderr, "--pool-min-chunk must be >= 0 (0 = default)\n");
-        return 2;
-      }
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: ext_kernel_throughput [--frames N] [--threads T]"
-                   " [--repeats R] [--pool-min-chunk N] [--out FILE]\n");
+                   " [--repeats R] [--out FILE]\n");
       return 2;
     }
   }
   if (repeats < 1) repeats = 1;
 
   util::ThreadPool pool(static_cast<int>(threads));
+  // Below 32 misses per worker the source computes a cold batch serially,
+  // and columnar+pool would silently time the serial path.
+  if (frames < 32 * static_cast<int64_t>(pool.num_threads())) {
+    std::fprintf(stderr,
+                 "usage: ext_kernel_throughput: --frames %lld is below 32 x %d pool threads;"
+                 " the pool would never engage\n",
+                 static_cast<long long>(frames), pool.num_threads());
+    return 2;
+  }
   std::printf("=== Extension: cold-path kernel throughput (scene index + columnar kernel) ===\n");
   std::printf("frames=%lld, pool threads=%d, repeats=%lld (best run kept)\n\n",
               static_cast<long long>(frames), pool.num_threads(),
@@ -180,14 +184,11 @@ int main(int argc, char** argv) {
       } else {
         query::FrameOutputSource source(*wl.dataset, *wl.model, video::ObjectClass::kCar);
         source.set_max_batch_size(batch_size);
-        source.set_parallel_min_chunk(pool_min_chunk);
-        source.set_parallel_min_misses(1);  // Cold run: always engage the pool.
         source.set_thread_pool(&pool);
+        run.counts.resize(all_frames.size());
         util::Timer timer;
-        auto counts = source.RawCounts(all_frames, resolution);
-        counts.status().CheckOk();
+        source.FillCounts(all_frames, resolution, 1.0, run.counts).CheckOk();
         run.seconds = timer.ElapsedSeconds();
-        run.counts = std::move(counts).ValueOrDie();
       }
       return run;
     };
@@ -287,7 +288,6 @@ int main(int argc, char** argv) {
          << "  \"frames\": " << frames << ",\n"
          << "  \"pool_threads\": " << pool.num_threads() << ",\n"
          << "  \"repeats\": " << repeats << ",\n"
-         << "  \"pool_min_chunk\": " << pool_min_chunk << ",\n"
          << "  \"target_speedup_at_512\": 3.0,\n"
          << "  \"pool_gate_mode\": \"" << (pool_is_parallel ? "strict" : "parity") << "\",\n"
          << "  \"pool_gate_threshold\": " << util::FormatDouble(pool_gate_threshold, 2)

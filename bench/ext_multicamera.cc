@@ -14,6 +14,8 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "camera/camera.h"
 #include "camera/central_system.h"
@@ -84,12 +86,13 @@ int main() {
     }
 
     // POOLED: concatenate both samples, pretend one population.
-    auto out_busy = busy.source->Outputs(spec, batch_busy->frame_indices, 608);
-    auto out_quiet = quiet.source->Outputs(spec, batch_quiet->frame_indices, 608);
-    out_busy.status().CheckOk();
-    out_quiet.status().CheckOk();
-    std::vector<double> pooled = *out_busy;
-    pooled.insert(pooled.end(), out_quiet->begin(), out_quiet->end());
+    query::OutputColumn out_busy;
+    query::OutputColumn out_quiet;
+    busy.source->AppendOutputs(spec, batch_busy->frame_indices, 608, 1.0, out_busy).CheckOk();
+    quiet.source->AppendOutputs(spec, batch_quiet->frame_indices, 608, 1.0, out_quiet)
+        .CheckOk();
+    std::vector<double> pooled = std::move(out_busy.outputs);
+    pooled.insert(pooled.end(), out_quiet.outputs.begin(), out_quiet.outputs.end());
     auto pooled_est = estimator.EstimateMean(
         pooled, busy.dataset->num_frames() + quiet.dataset->num_frames(), 0.05);
     pooled_est.status().CheckOk();

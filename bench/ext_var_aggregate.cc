@@ -11,6 +11,8 @@
 
 #include <cstdio>
 #include <iostream>
+#include <numeric>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "core/var_estimator.h"
@@ -78,9 +80,13 @@ int main() {
     query::QuerySpec count_spec;
     count_spec.aggregate = query::AggregateFunction::kCount;
     count_spec.count_threshold = 8;
-    auto outputs = wl.source->AllOutputs(count_spec, wl.model->max_resolution());
-    outputs.status().CheckOk();
-    auto var_true = query::ComputeAggregate(query::AggregateFunction::kVar, *outputs, 0);
+    std::vector<int64_t> frames(static_cast<size_t>(wl.dataset->num_frames()));
+    std::iota(frames.begin(), frames.end(), int64_t{0});
+    query::OutputColumn column;
+    wl.source->AppendOutputs(count_spec, frames, wl.model->max_resolution(), 1.0, column)
+        .CheckOk();
+    const std::vector<double>& outputs = column.outputs;
+    auto var_true = query::ComputeAggregate(query::AggregateFunction::kVar, outputs, 0);
     var_true.status().CheckOk();
     std::printf("\n-- VAR of congestion indicator (>=8 cars), true %.4f --\n", *var_true);
 
@@ -96,7 +102,7 @@ int main() {
         auto idx = stats::SampleWithoutReplacement(population, n, rng);
         idx.status().CheckOk();
         std::vector<double> sample;
-        for (int64_t i : *idx) sample.push_back((*outputs)[static_cast<size_t>(i)]);
+        for (int64_t i : *idx) sample.push_back(outputs[static_cast<size_t>(i)]);
         auto result = est.EstimateVariance(sample, population, 0.05);
         result.status().CheckOk();
         true_err += std::abs(result->y_approx - *var_true) / *var_true;

@@ -6,6 +6,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "stats/histogram.h"
@@ -21,17 +24,14 @@ int main() {
   query::QuerySpec spec;
   spec.aggregate = query::AggregateFunction::kAvg;
 
+  std::vector<int64_t> frames(static_cast<size_t>(wl.dataset->num_frames()));
+  std::iota(frames.begin(), frames.end(), int64_t{0});
+  std::vector<int> counts(frames.size());
   stats::IntHistogram h608, h384, h320;
-  for (int64_t i = 0; i < wl.dataset->num_frames(); ++i) {
-    auto c608 = wl.source->RawCount(i, 608);
-    auto c384 = wl.source->RawCount(i, 384);
-    auto c320 = wl.source->RawCount(i, 320);
-    c608.status().CheckOk();
-    c384.status().CheckOk();
-    c320.status().CheckOk();
-    h608.Add(*c608);
-    h384.Add(*c384);
-    h320.Add(*c320);
+  for (auto [resolution, histogram] :
+       {std::pair{608, &h608}, std::pair{384, &h384}, std::pair{320, &h320}}) {
+    wl.source->FillCounts(frames, resolution, 1.0, counts).CheckOk();
+    for (int count : counts) histogram->Add(count);
   }
 
   int64_t max_count = std::max({h608.max_key(), h384.max_key(), h320.max_key()});

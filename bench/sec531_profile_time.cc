@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
   bench::MetricsDumpGuard metrics_guard(argc, argv);
   int threads = 1;  // Serial by default: the paper's timing is single-stream.
   int64_t batch_size = 0;
-  int64_t pool_min_chunk = 0;  // 0 = source default.
   std::string output_store;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -51,14 +50,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--batch-size must be >= 0 (0 = unlimited)\n");
         return 2;
       }
-    } else if (arg == "--pool-min-chunk" && i + 1 < argc) {
-      auto parsed = util::ParseInt(argv[++i]);
-      parsed.status().CheckOk();
-      pool_min_chunk = *parsed;
-      if (pool_min_chunk < 0) {
-        std::fprintf(stderr, "--pool-min-chunk must be >= 0 (0 = default)\n");
-        return 2;
-      }
     } else if (arg == "--output-store" && i + 1 < argc) {
       output_store = argv[++i];
       if (output_store.empty()) {
@@ -68,7 +59,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: sec531_profile_time [--threads N] [--batch-size N]"
-                   " [--pool-min-chunk N] [--output-store P] [--metrics-out P]\n");
+                   " [--output-store P] [--metrics-out P]\n");
       return 2;
     }
   }
@@ -82,7 +73,6 @@ int main(int argc, char** argv) {
   engine::RuntimeOptions runtime_opts;
   runtime_opts.num_threads = threads;
   runtime_opts.max_batch_size = batch_size;
-  runtime_opts.pool_min_chunk = pool_min_chunk;
   auto runtime = engine::Runtime::Create(runtime_opts);
   runtime.status().CheckOk();
   engine::WorkloadDesc desc;
@@ -125,7 +115,8 @@ int main(int argc, char** argv) {
   auto session = (*runtime)->StartSession(*workload, config);
   session.status().CheckOk();
 
-  source.ResetCounters();
+  // The source's counters are cumulative; each stage reports its own delta.
+  const int64_t invocations_before = source.model_invocations();
   util::Timer total_timer;
   auto profile = (*session)->Profile(*grid);
   profile.status().CheckOk();
@@ -133,18 +124,19 @@ int main(int argc, char** argv) {
   // Copy: the replay below overwrites last_report().
   const core::ProfilerReport report = (*session)->last_report();
 
-  int64_t invocations = source.model_invocations();
+  int64_t invocations = source.model_invocations() - invocations_before;
   int64_t expected =
       10 * stats::FractionToCount((*workload)->dataset().num_frames(), 0.04);
 
   // Estimation-stage-only timing: Profile() reseeds from the session seed, so
   // the second generation draws the identical samples and every model output
   // comes from the cache.
-  source.ResetCounters();
+  const int64_t hits_before_replay = source.cache_hits();
   util::Timer est_timer;
   auto profile2 = (*session)->Profile(*grid);
   profile2.status().CheckOk();
   double est_seconds = est_timer.ElapsedSeconds();
+  const int64_t replay_hits = source.cache_hits() - hits_before_replay;
   double per_candidate_ms = est_seconds * 1000.0 / static_cast<double>(grid->size());
 
   util::TablePrinter table({"quantity", "value"});
@@ -155,7 +147,7 @@ int main(int argc, char** argv) {
   table.AddRow({"intervention candidates", std::to_string(grid->size())});
   table.AddRow({"model invocations", std::to_string(invocations)});
   table.AddRow({"expected (paper: 6084 = 4% x 15210 x 10 res)", std::to_string(expected)});
-  table.AddRow({"cache hits (reuse strategy)", std::to_string(source.cache_hits())});
+  table.AddRow({"cache hits (reuse strategy)", std::to_string(replay_hits)});
   if (warm_start) {
     table.AddRow({"served from output store", std::to_string(expected - invocations)});
   }

@@ -34,9 +34,6 @@
 //                      (default 0; the profile is bit-identical at any N)
 //   --batch-size N     cap frames per batched model invocation; 0 = unlimited
 //                      (default 0; results are identical at any N)
-//   --pool-min-chunk N frames per model invocation when a cold miss batch
-//                      fans out on the executor; 0 = the source default
-//                      (default 0; results are identical at any N)
 //   --clients N        serve the profile request to N concurrent sessions
 //                      over the shared workload (default 1); the profiles
 //                      must be bit-identical at any N
@@ -88,7 +85,6 @@ struct Flags {
   uint64_t seed = 2026;
   int threads = 0;            // 0 = hardware concurrency.
   int64_t batch_size = 0;     // 0 = unlimited.
-  int64_t pool_min_chunk = 0; // 0 = source default.
   int clients = 1;
   std::string output_store;
   std::string metrics_out;
@@ -123,12 +119,6 @@ util::Result<Flags> ParseFlags(int argc, char** argv) {
       SMK_ASSIGN_OR_RETURN(flags.batch_size, util::ParseInt(v));
       if (flags.batch_size < 0) {
         return util::Status::InvalidArgument("--batch-size must be >= 0 (0 = unlimited)");
-      }
-    } else if (arg == "--pool-min-chunk") {
-      SMK_ASSIGN_OR_RETURN(std::string v, next());
-      SMK_ASSIGN_OR_RETURN(flags.pool_min_chunk, util::ParseInt(v));
-      if (flags.pool_min_chunk < 0) {
-        return util::Status::InvalidArgument("--pool-min-chunk must be >= 0 (0 = default)");
       }
     } else if (arg == "--clients") {
       SMK_ASSIGN_OR_RETURN(std::string v, next());
@@ -228,7 +218,6 @@ int Run(Flags flags) {
   engine::RuntimeOptions runtime_opts;
   runtime_opts.num_threads = flags.threads;
   runtime_opts.max_batch_size = flags.batch_size;
-  runtime_opts.pool_min_chunk = flags.pool_min_chunk;
   runtime_opts.default_seed = flags.seed;
   auto runtime = engine::Runtime::Create(runtime_opts);
   runtime.status().CheckOk();
@@ -416,7 +405,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n\nusage: smokescreen_cli [--dataset D] [--model M] [--agg A]\n"
                          "  [--frames N] [--max-error X] [--restrict person,face]\n"
                          "  [--profile-out P | --profile-in P] [--seed S] [--threads N]\n"
-                         "  [--batch-size N] [--pool-min-chunk N] [--clients N]\n"
+                         "  [--batch-size N] [--clients N]\n"
                          "  [--output-store P] [--metrics-out P]\n",
                  flags.status().ToString().c_str());
     return 2;

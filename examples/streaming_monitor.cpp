@@ -61,13 +61,14 @@ void RunWeek(const char* label, const engine::Workload& week, const query::Query
   auto view = degrade::DegradedView::Create(week.dataset(), week.prior(), iv,
                                             week.detector().max_resolution(), rng);
   view.status().CheckOk();
-  auto outputs = week.source().Outputs(spec, view->sampled_frames(), view->resolution());
-  outputs.status().CheckOk();
+  query::OutputColumn outputs;
+  week.source().AppendOutputs(spec, view->sampled_frames(), view->resolution(), 1.0, outputs)
+      .CheckOk();
 
   bool drifted = false;
   int64_t drift_at = 0;
-  for (size_t i = 0; i < outputs->size(); ++i) {
-    monitor->Observe((*outputs)[i]);
+  for (double output : outputs.outputs) {
+    monitor->Observe(output);
     // Check every 50 frames once warmed up.
     if (monitor->count() >= 100 && monitor->count() % 50 == 0 && !drifted) {
       auto consistent = monitor->IsConsistentWith(profiled_answer, /*slack=*/0.25);
@@ -81,7 +82,7 @@ void RunWeek(const char* label, const engine::Workload& week, const query::Query
   auto estimate = monitor->CurrentEstimate();
   estimate.status().CheckOk();
   std::printf("%-22s streamed %5zu frames: estimate %.3f (bound %.2f%%), profiled %.3f -> %s\n",
-              label, outputs->size(), estimate->y_approx, estimate->err_b * 100.0,
+              label, outputs.size(), estimate->y_approx, estimate->err_b * 100.0,
               profiled_answer,
               drifted ? ("DRIFT at frame " + std::to_string(drift_at) + ", re-profile").c_str()
                       : "consistent");
@@ -162,16 +163,17 @@ int main() {
     auto view4 = degrade::DegradedView::Create(week4->dataset(), week4->prior(), iv,
                                                week4->detector().max_resolution(), rng);
     view4.status().CheckOk();
-    auto outputs4 =
-        week4->source().Outputs(spec, view4->sampled_frames(), view4->resolution());
-    outputs4.status().CheckOk();
-    monitor->ObserveAll(*outputs4);
+    query::OutputColumn outputs4;
+    week4->source()
+        .AppendOutputs(spec, view4->sampled_frames(), view4->resolution(), 1.0, outputs4)
+        .CheckOk();
+    monitor->ObserveAll(outputs4.outputs);
     auto consistent = monitor->IsConsistentWith(reprofiled->estimate.y_approx, 0.25);
     consistent.status().CheckOk();
     auto estimate = monitor->CurrentEstimate();
     estimate.status().CheckOk();
     std::printf("%-22s streamed %5zu frames: estimate %.3f (bound %.2f%%), re-profiled %.3f -> %s\n",
-                "week4-festival", outputs4->size(), estimate->y_approx,
+                "week4-festival", outputs4.size(), estimate->y_approx,
                 estimate->err_b * 100.0, reprofiled->estimate.y_approx,
                 *consistent ? "consistent (recovered)" : "STILL DRIFTING");
   }

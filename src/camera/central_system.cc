@@ -191,13 +191,14 @@ Status CentralSystem::Ingest(const CameraBatch& batch) {
     return Status::OK();
   }
 
-  auto outputs = feed.source->Outputs(spec_, batch.frame_indices, batch.resolution,
-                                      batch.contrast_scale);
-  if (!outputs.ok()) {
+  query::OutputColumn column;
+  Status status = feed.source->AppendOutputs(spec_, batch.frame_indices, batch.resolution,
+                                             batch.contrast_scale, column);
+  if (!status.ok()) {
     RecordIngestFailure(batch.camera_id, feed, "UDF error");
-    return outputs.status();
+    return status;
   }
-  feed.outputs = std::move(outputs).ValueOrDie();
+  feed.outputs = std::move(column.outputs);
   feed.eligible_population = batch.eligible_population;
   feed.has_batch = true;
   feed.health = FeedHealth::kLive;

@@ -85,7 +85,7 @@ Result<EstimationResult> EstimateFromFrames(query::FrameOutputSource& source,
   SMK_RETURN_IF_ERROR(spec.Validate());
   if (frames.empty()) return Status::InvalidArgument("no frames to estimate from");
   query::OutputColumn column;
-  SMK_RETURN_IF_ERROR(source.OutputsInto(spec, frames, resolution, contrast_scale, column));
+  SMK_RETURN_IF_ERROR(source.AppendOutputs(spec, frames, resolution, contrast_scale, column));
   return EstimateFromOutputs(spec, column.output_span(), eligible_population,
                              original_population, resolution, delta);
 }

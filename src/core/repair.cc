@@ -27,7 +27,9 @@ Result<CorrectionSet> BuildCorrectionSetFromFrames(query::FrameOutputSource& sou
   correction.size = static_cast<int64_t>(frames.size());
   correction.population = population;
   const int resolution = source.detector().max_resolution();
-  SMK_ASSIGN_OR_RETURN(correction.outputs, source.Outputs(spec, frames, resolution, 1.0));
+  query::OutputColumn column;
+  SMK_RETURN_IF_ERROR(source.AppendOutputs(spec, frames, resolution, 1.0, column));
+  correction.outputs = std::move(column.outputs);
   // The correction set is a sample of the whole video (eligible population =
   // original population = N).
   SMK_ASSIGN_OR_RETURN(EstimationResult result,

@@ -11,12 +11,13 @@ namespace degrade {
 using util::Status;
 
 Status InterventionSet::Validate() const {
-  if (sample_fraction <= 0.0 || sample_fraction > 1.0) {
+  // Written so that NaN fails: every comparison with NaN is false.
+  if (!(sample_fraction > 0.0 && sample_fraction <= 1.0)) {
     return Status::InvalidArgument("sample_fraction must be in (0, 1], got " +
                                    util::FormatDouble(sample_fraction));
   }
   if (resolution < 0) return Status::InvalidArgument("resolution must be >= 0");
-  if (contrast_scale <= 0.0 || contrast_scale > 1.0) {
+  if (!(contrast_scale > 0.0 && contrast_scale <= 1.0)) {
     return Status::InvalidArgument("contrast_scale must be in (0, 1]");
   }
   const video::ClassSet recorded = detect::ClassPriorIndex::RecordedClasses();

@@ -99,7 +99,6 @@ Result<std::unique_ptr<Runtime>> Runtime::Create(RuntimeOptions options) {
 void Runtime::WireSource(query::FrameOutputSource& source) const {
   source.set_metrics_registry(registry_);
   source.set_max_batch_size(options_.max_batch_size);
-  source.set_parallel_min_chunk(options_.pool_min_chunk);
   source.set_compute_policy(options_.compute_policy).CheckOk();
   // The shared executor serves the source's miss-batch fan-out as well as
   // the profiler's group fan-out. This is safe against the classic

@@ -85,10 +85,6 @@ struct RuntimeOptions {
   size_t profile_cache_capacity = 16;
   /// Default frames-per-CountBatch cap for every source (0 = unlimited).
   int64_t max_batch_size = 0;
-  /// Chunk size for every source's pooled miss path (frames per CountBatch
-  /// call when a cold batch fans out on the shared executor); 0 = the
-  /// source default. Results are bit-identical at every setting.
-  int64_t pool_min_chunk = 0;
   /// Retry/watchdog policy installed on every source.
   query::ComputePolicy compute_policy;
   /// Seed used by sessions that do not set their own.

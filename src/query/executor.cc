@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "stats/empirical.h"
@@ -16,8 +17,12 @@ Result<GroundTruth> ComputeGroundTruth(FrameOutputSource& source, const QuerySpe
   SMK_RETURN_IF_ERROR(spec.Validate());
   int resolution =
       resolution_override > 0 ? resolution_override : source.detector().max_resolution();
+  std::vector<int64_t> frames(static_cast<size_t>(source.dataset().num_frames()));
+  std::iota(frames.begin(), frames.end(), int64_t{0});
+  OutputColumn column;
+  SMK_RETURN_IF_ERROR(source.AppendOutputs(spec, frames, resolution, 1.0, column));
   GroundTruth gt;
-  SMK_ASSIGN_OR_RETURN(gt.outputs, source.AllOutputs(spec, resolution));
+  gt.outputs = std::move(column.outputs);
   SMK_ASSIGN_OR_RETURN(gt.y_true,
                        ComputeAggregate(spec.aggregate, gt.outputs, spec.EffectiveQuantileR()));
   return gt;
@@ -26,12 +31,12 @@ Result<GroundTruth> ComputeGroundTruth(FrameOutputSource& source, const QuerySpe
 Result<SkippedScan> AllOutputsWithSkipping(FrameOutputSource& source, const QuerySpec& spec,
                                            int resolution, double contrast_scale) {
   const video::VideoDataset& dataset = source.dataset();
-  SkippedScan scan;
-  scan.outputs.reserve(static_cast<size_t>(dataset.num_frames()));
-  const OutputTransform transform(spec);
+  // The skips depend on track ids only, never on a count, so the frames to
+  // process are picked first and fetched with one request. `source_of[i]`
+  // is the position in `processed` whose output frame i reuses.
+  std::vector<int64_t> processed;
+  std::vector<size_t> source_of(static_cast<size_t>(dataset.num_frames()));
   std::vector<int64_t> prev_tracks;
-  double prev_output = 0.0;
-  bool have_prev = false;
   for (int64_t i = 0; i < dataset.num_frames(); ++i) {
     // The cheap "frame difference detector": the multiset of target-class
     // track ids (sorted; tracks are emitted in stable order per frame).
@@ -41,17 +46,18 @@ Result<SkippedScan> AllOutputsWithSkipping(FrameOutputSource& source, const Quer
     }
     bool same_sequence =
         i > 0 && dataset.frame(i).sequence_id == dataset.frame(i - 1).sequence_id;
-    if (have_prev && same_sequence && tracks == prev_tracks) {
-      scan.outputs.push_back(prev_output);
-      ++scan.skipped;
-      continue;
+    if (processed.empty() || !same_sequence || tracks != prev_tracks) {
+      processed.push_back(i);
+      prev_tracks = std::move(tracks);
     }
-    SMK_ASSIGN_OR_RETURN(int count, source.RawCount(i, resolution, contrast_scale));
-    prev_output = transform(count);
-    prev_tracks = std::move(tracks);
-    have_prev = true;
-    scan.outputs.push_back(prev_output);
+    source_of[static_cast<size_t>(i)] = processed.size() - 1;
   }
+  OutputColumn column;
+  SMK_RETURN_IF_ERROR(source.AppendOutputs(spec, processed, resolution, contrast_scale, column));
+  SkippedScan scan;
+  scan.skipped = dataset.num_frames() - static_cast<int64_t>(processed.size());
+  scan.outputs.reserve(source_of.size());
+  for (size_t slot : source_of) scan.outputs.push_back(column.outputs[slot]);
   return scan;
 }
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
-#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -19,12 +18,12 @@ using util::Status;
 
 namespace {
 
-/// Pooled miss chunk when parallel_min_chunk is unset. A pure constant —
-/// deriving it from the worker count would make the CountBatch call
-/// sequence depend on pool width, breaking the determinism contract.
-constexpr int64_t kDefaultParallelChunk = 1024;
-/// Adaptive engage threshold: frames of miss work per worker below which
-/// dispatch overhead beats the parallel win.
+/// Largest pooled miss chunk. A pure constant — deriving it from the worker
+/// count would make the CountBatch call sequence depend on pool width,
+/// breaking the determinism contract.
+constexpr int64_t kParallelChunk = 1024;
+/// Engage threshold: frames of miss work per worker below which dispatch
+/// overhead beats the parallel win.
 constexpr int64_t kParallelMissesPerWorker = 32;
 
 // Column bitmap primitives. Frames index bits; all range operations are
@@ -177,11 +176,8 @@ Status FrameOutputSource::ComputeMisses(std::span<const int64_t> miss_frames, in
   // max_batch_size caps the frames per CountBatch call on BOTH paths.
   const int64_t cap = max_batch_size_ > 0 ? std::min<int64_t>(max_batch_size_, n) : n;
   util::ThreadPool* pool = pool_;
-  const int64_t engage =
-      parallel_min_misses_ > 0
-          ? parallel_min_misses_
-          : kParallelMissesPerWorker * (pool != nullptr ? pool->num_threads() : 1);
-  if (pool == nullptr || pool->num_threads() <= 1 || n < engage) {
+  if (pool == nullptr || pool->num_threads() <= 1 ||
+      n < kParallelMissesPerWorker * pool->num_threads()) {
     for (int64_t begin = 0; begin < n; begin += cap) {
       const int64_t len = std::min(cap, n - begin);
       SMK_RETURN_IF_ERROR(
@@ -196,17 +192,15 @@ Status FrameOutputSource::ComputeMisses(std::span<const int64_t> miss_frames, in
 
   // Bulk dispatch: one ParallelFor over the miss range, one CountBatch per
   // chunk into its disjoint slice. The chunk size is a pure function of
-  // (n, max_batch_size, parallel_min_chunk) — NEVER the worker count — so
-  // the CountBatch call sequence is identical at every pool width (only the
-  // chunk-to-thread assignment varies), and each frame's count is a pure
-  // function of its key: the assembled result is bit-identical to the
-  // serial path. ParallelFor is synchronous over exactly these chunks (the
-  // calling thread participates), so a shared pool never makes this wait on
-  // unrelated users' work, and a caller already ON a pool worker runs the
-  // same chunk sequence inline.
-  const int64_t chunk =
-      std::min<int64_t>(cap, parallel_min_chunk_ > 0 ? parallel_min_chunk_
-                                                     : kDefaultParallelChunk);
+  // (n, max_batch_size) — NEVER the worker count — so the CountBatch call
+  // sequence is identical at every pool width (only the chunk-to-thread
+  // assignment varies), and each frame's count is a pure function of its
+  // key: the assembled result is bit-identical to the serial path.
+  // ParallelFor is synchronous over exactly these chunks (the calling thread
+  // participates), so a shared pool never makes this wait on unrelated
+  // users' work, and a caller already ON a pool worker runs the same chunk
+  // sequence inline.
+  const int64_t chunk = std::min(cap, kParallelChunk);
   std::vector<Status> chunk_status(static_cast<size_t>((n + chunk - 1) / chunk));
   pool->ParallelFor(0, n, chunk,
                     [this, miss_frames, miss_counts, resolution, contrast_scale, chunk,
@@ -260,10 +254,10 @@ Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int
                                    " != frame count " + std::to_string(frame_indices.size()));
   }
   if (frame_indices.empty()) return Status::OK();
-  // ONE probe round over the whole request: max_batch_size caps the frames
-  // per CountBatch call (ComputeMisses chunks the miss set), not the probe
-  // round, so a large cold request's misses fan out across the whole pool
-  // instead of being strangled to one max_batch_size-sized round at a time.
+  // max_batch_size caps the frames per CountBatch call (ComputeMisses
+  // chunks the miss set), not the claim: a large cold request claims all
+  // its misses at once, so they fan out across the whole pool instead of
+  // being claimed max_batch_size frames at a time.
   const size_t n = frame_indices.size();
   const int64_t num_frames = dataset_.num_frames();
   // Frames must be in range before they index the bitmaps. The contiguity
@@ -277,6 +271,9 @@ Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int
     }
     contiguous = contiguous && frame == frame_indices[0] + static_cast<int64_t>(i);
   }
+  // A resolution the model rejects must not create a column: an empty one
+  // would cost memory and be exported into every later checkpoint.
+  SMK_RETURN_IF_ERROR(detector_.ValidateResolution(resolution));
 
   Column& col = ColumnFor(resolution, QuantizeContrast(contrast_scale));
 
@@ -316,12 +313,7 @@ Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int
   }
 
   // General path. Ready hits are served first without the lock (see
-  // Column), so a warm request never takes it. The frames left over get
-  // per-frame bit probes under one lock acquisition, each classified as
-  // ready by now, duplicate of a frame this call already claimed, in flight
-  // on another thread, or a fresh claim. The local `ours` bitmap
-  // distinguishes this call's own in-flight bits from other threads'
-  // (duplicates within the request).
+  // Column), so a warm request never takes it.
   std::vector<uint32_t> pending;
   int64_t probe_hits = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -333,143 +325,102 @@ Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int
       pending.push_back(static_cast<uint32_t>(i));
     }
   }
+  // The frames left over go through rounds of claim -> compute -> install.
+  // Each round classifies the unresolved slots under one lock acquisition:
+  // ready by now (a hit), duplicate of a frame this request claimed, free
+  // (claimed), or in flight on another thread (set aside for the next
+  // round). The local `ours` bitmap tells this request's own in-flight bits
+  // from other threads'. A round that claimed nothing while frames are in
+  // flight elsewhere waits on the column and classifies again; a request
+  // never waits while it holds a claim, so two requests cannot wait on each
+  // other. With nothing in flight elsewhere there is exactly one round.
+  std::vector<uint64_t> ours(pending.empty() ? 0 : static_cast<size_t>((num_frames + 63) / 64));
   std::vector<int64_t> miss_frames;
   std::vector<uint32_t> miss_slot;
   std::vector<uint32_t> dup_slots;
   std::vector<uint32_t> waiter_slots;
-  if (!pending.empty()) {
-    std::vector<uint64_t> ours(static_cast<size_t>((num_frames + 63) / 64), 0);
-    util::MutexLock lock(&col.mu);
-    for (uint32_t slot : pending) {
-      const int64_t frame = frame_indices[slot];
-      if (IsReady(col.ready, frame)) {
-        out[slot] = col.counts[static_cast<size_t>(frame)];
-        ++probe_hits;
-        continue;
+  while (!pending.empty()) {
+    {
+      util::MutexLock lock(&col.mu);
+      for (;;) {
+        for (uint32_t slot : pending) {
+          const int64_t frame = frame_indices[slot];
+          if (IsReady(col.ready, frame)) {
+            out[slot] = col.counts[static_cast<size_t>(frame)];
+            ++probe_hits;
+          } else if (TestBit(ours, frame)) {
+            dup_slots.push_back(slot);
+          } else if (TestBit(col.inflight, frame)) {
+            waiter_slots.push_back(slot);
+          } else {
+            SetBit(col.inflight, frame);
+            SetBit(ours, frame);
+            miss_slot.push_back(slot);
+            miss_frames.push_back(frame);
+          }
+        }
+        if (!miss_frames.empty() || waiter_slots.empty()) break;
+        // Everything left is another thread's computation; it installs or
+        // releases its claims under this lock and then notifies.
+        metrics_.inflight_waits->Increment();
+        col.cv.Wait(col.mu);
+        pending.swap(waiter_slots);
+        waiter_slots.clear();
       }
-      if (TestBit(ours, frame)) {
-        dup_slots.push_back(slot);
-        continue;
-      }
-      if (TestBit(col.inflight, frame)) {
-        waiter_slots.push_back(slot);
-        continue;
-      }
-      SetBit(col.inflight, frame);
-      SetBit(ours, frame);
-      miss_slot.push_back(slot);
-      miss_frames.push_back(frame);
     }
+    if (probe_hits > 0) {
+      cache_hits_.fetch_add(probe_hits, std::memory_order_relaxed);
+      metrics_.hits->Add(probe_hits);
+      probe_hits = 0;
+    }
+
+    if (!miss_frames.empty()) {
+      std::vector<int> miss_counts(miss_frames.size());
+      Status status = ComputeMisses(miss_frames, resolution, contrast_scale, miss_counts);
+      {
+        util::MutexLock lock(&col.mu);
+        if (status.ok()) {
+          for (size_t m = 0; m < miss_frames.size(); ++m) {
+            col.counts[static_cast<size_t>(miss_frames[m])] = miss_counts[m];
+            PublishReady(col.ready, miss_frames[m]);
+          }
+          // Duplicates of this round's claims read the freshly installed
+          // counts here, under the same lock acquisition that installed
+          // them — every counts[] access stays inside col.mu. (A duplicate
+          // implies this round claimed the frame, so dup_slots non-empty
+          // implies miss_frames non-empty.) They count as cache hits below:
+          // the first occurrence misses, repeats hit.
+          for (uint32_t slot : dup_slots) {
+            out[slot] = col.counts[static_cast<size_t>(frame_indices[slot])];
+          }
+        }
+        for (int64_t frame : miss_frames) ClearBit(col.inflight, frame);
+      }
+      col.cv.NotifyAll();
+      if (!status.ok()) return status;
+      for (size_t m = 0; m < miss_frames.size(); ++m) out[miss_slot[m]] = miss_counts[m];
+      // A batch over N distinct keys counts as exactly N model invocations.
+      model_invocations_.fetch_add(static_cast<int64_t>(miss_frames.size()),
+                                   std::memory_order_relaxed);
+      metrics_.invocations->Add(static_cast<int64_t>(miss_frames.size()));
+      metrics_.miss_batch_size->Observe(static_cast<double>(miss_frames.size()));
+    }
+    if (!dup_slots.empty()) {
+      cache_hits_.fetch_add(static_cast<int64_t>(dup_slots.size()), std::memory_order_relaxed);
+      metrics_.hits->Add(static_cast<int64_t>(dup_slots.size()));
+    }
+    // Frames another thread had in flight are classified again next round.
+    pending.swap(waiter_slots);
+    waiter_slots.clear();
+    miss_frames.clear();
+    miss_slot.clear();
+    dup_slots.clear();
   }
   if (probe_hits > 0) {
     cache_hits_.fetch_add(probe_hits, std::memory_order_relaxed);
     metrics_.hits->Add(probe_hits);
   }
-
-  if (!miss_frames.empty()) {
-    std::vector<int> miss_counts(miss_frames.size());
-    Status status = ComputeMisses(miss_frames, resolution, contrast_scale, miss_counts);
-    {
-      util::MutexLock lock(&col.mu);
-      if (status.ok()) {
-        for (size_t m = 0; m < miss_frames.size(); ++m) {
-          col.counts[static_cast<size_t>(miss_frames[m])] = miss_counts[m];
-          PublishReady(col.ready, miss_frames[m]);
-        }
-        // Duplicates of this call's own claims read the freshly installed
-        // counts here, under the same lock acquisition that installed them —
-        // every counts[] access stays inside col.mu. (A duplicate implies
-        // this call claimed the frame, so dup_slots non-empty implies
-        // miss_frames non-empty.) They count as cache hits below, matching
-        // the scalar path (first occurrence misses, repeats hit).
-        for (uint32_t slot : dup_slots) {
-          out[slot] = col.counts[static_cast<size_t>(frame_indices[slot])];
-        }
-      }
-      for (int64_t frame : miss_frames) ClearBit(col.inflight, frame);
-    }
-    col.cv.NotifyAll();
-    if (!status.ok()) return status;
-    for (size_t m = 0; m < miss_frames.size(); ++m) out[miss_slot[m]] = miss_counts[m];
-    // A batch over N distinct keys counts as exactly N model invocations —
-    // the same total the scalar path reports.
-    model_invocations_.fetch_add(static_cast<int64_t>(miss_frames.size()),
-                                 std::memory_order_relaxed);
-    metrics_.invocations->Add(static_cast<int64_t>(miss_frames.size()));
-    metrics_.miss_batch_size->Observe(static_cast<double>(miss_frames.size()));
-  }
-
-  if (!dup_slots.empty()) {
-    cache_hits_.fetch_add(static_cast<int64_t>(dup_slots.size()), std::memory_order_relaxed);
-    metrics_.hits->Add(static_cast<int64_t>(dup_slots.size()));
-  }
-
-  // Frames another thread had in flight fall back to the scalar
-  // wait-and-retry path, which preserves exactly-once compute and exact hit
-  // accounting.
-  for (uint32_t slot : waiter_slots) {
-    SMK_ASSIGN_OR_RETURN(out[slot],
-                         RawCount(frame_indices[slot], resolution, contrast_scale));
-  }
   return Status::OK();
-}
-
-Result<int> FrameOutputSource::RawCount(int64_t frame_index, int resolution,
-                                        double contrast_scale) {
-  const int64_t num_frames = dataset_.num_frames();
-  if (frame_index < 0 || frame_index >= num_frames) {
-    return Status::OutOfRange("frame index " + std::to_string(frame_index) + " out of [0, " +
-                              std::to_string(num_frames) + ")");
-  }
-  Column& col = ColumnFor(resolution, QuantizeContrast(contrast_scale));
-  if (IsReady(col.ready, frame_index)) {  // Lock-free hit (see Column).
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.hits->Increment();
-    return col.counts[static_cast<size_t>(frame_index)];
-  }
-  {
-    util::MutexLock lock(&col.mu);
-    for (;;) {
-      if (IsReady(col.ready, frame_index)) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        metrics_.hits->Increment();
-        return col.counts[static_cast<size_t>(frame_index)];
-      }
-      if (!TestBit(col.inflight, frame_index)) {
-        SetBit(col.inflight, frame_index);
-        break;
-      }
-      // Another thread is invoking the model on this exact key; wait, then
-      // re-probe (the computation may have failed — releasing its claim —
-      // in which case our re-probe claims it).
-      metrics_.inflight_waits->Increment();
-      col.cv.Wait(col.mu);
-    }
-  }
-  // The model runs OUTSIDE the column lock so that concurrent misses on
-  // different frames overlap; the in-flight bit keeps this key
-  // computed-exactly-once.
-  Result<int> count = detector_.CountDetections(dataset_, frame_index, resolution, target_class_,
-                                                contrast_scale);
-  {
-    util::MutexLock lock(&col.mu);
-    if (count.ok()) {
-      model_invocations_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.invocations->Increment();
-      col.counts[static_cast<size_t>(frame_index)] = *count;
-      PublishReady(col.ready, frame_index);
-    }
-    ClearBit(col.inflight, frame_index);
-  }
-  col.cv.NotifyAll();
-  return count;
-}
-
-Result<std::vector<int>> FrameOutputSource::RawCounts(const std::vector<int64_t>& frame_indices,
-                                                      int resolution, double contrast_scale) {
-  std::vector<int> out(frame_indices.size());
-  SMK_RETURN_IF_ERROR(FillCounts(frame_indices, resolution, contrast_scale, out));
-  return out;
 }
 
 Status FrameOutputSource::AppendOutputs(const QuerySpec& spec,
@@ -490,28 +441,6 @@ Status FrameOutputSource::AppendOutputs(const QuerySpec& spec,
   const OutputTransform transform(spec);
   transform.Apply(new_counts, std::span<double>(column.outputs).subspan(old_size));
   return Status::OK();
-}
-
-Status FrameOutputSource::OutputsInto(const QuerySpec& spec,
-                                      std::span<const int64_t> frame_indices, int resolution,
-                                      double contrast_scale, OutputColumn& column) {
-  column.Clear();
-  return AppendOutputs(spec, frame_indices, resolution, contrast_scale, column);
-}
-
-Result<std::vector<double>> FrameOutputSource::Outputs(const QuerySpec& spec,
-                                                       const std::vector<int64_t>& frame_indices,
-                                                       int resolution, double contrast_scale) {
-  OutputColumn column;
-  SMK_RETURN_IF_ERROR(OutputsInto(spec, frame_indices, resolution, contrast_scale, column));
-  return std::move(column.outputs);
-}
-
-Result<std::vector<double>> FrameOutputSource::AllOutputs(const QuerySpec& spec, int resolution,
-                                                          double contrast_scale) {
-  std::vector<int64_t> frames(static_cast<size_t>(dataset_.num_frames()));
-  std::iota(frames.begin(), frames.end(), int64_t{0});
-  return Outputs(spec, frames, resolution, contrast_scale);
 }
 
 OutputStore FrameOutputSource::ExportStore() {
@@ -565,6 +494,9 @@ Result<int64_t> FrameOutputSource::Preload(const OutputStore& store) {
   int64_t loaded = 0;
   for (const OutputColumnRecord& column : store.columns()) {
     if (column.cls != static_cast<int>(target_class_)) continue;  // Other class: not ours.
+    // A resolution this model rejects could never be requested; a column
+    // for it would only cost memory and be exported again.
+    if (!detector_.ValidateResolution(column.resolution).ok()) continue;
     if (column.frames.size() != column.counts.size()) {
       return Status::InvalidArgument("output store column has mismatched frame/count arrays");
     }

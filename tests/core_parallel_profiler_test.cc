@@ -278,10 +278,11 @@ util::Result<std::vector<ProfilePoint>> ReferenceWalk(
       n = std::min(n, eligible_population);
       const int resolution = candidate.EffectiveResolution(model_max);
       std::vector<int64_t> frames(eligible.begin(), eligible.begin() + n);
-      SMK_ASSIGN_OR_RETURN(std::vector<double> outputs,
-                           source.Outputs(spec, frames, resolution, candidate.contrast_scale));
+      query::OutputColumn outputs;
+      SMK_RETURN_IF_ERROR(
+          source.AppendOutputs(spec, frames, resolution, candidate.contrast_scale, outputs));
       SMK_ASSIGN_OR_RETURN(EstimationResult result,
-                           EstimateFromOutputs(spec, outputs, eligible_population,
+                           EstimateFromOutputs(spec, outputs.output_span(), eligible_population,
                                                original_population, resolution, options.delta));
       ProfilePoint point;
       point.interventions = candidate;
@@ -391,9 +392,10 @@ TEST_P(IncrementalProfilerWalkTest, CorrectionSizingCurveEqualsPerPrefixReferenc
   for (size_t i = 0; i < sizing->curve.size(); ++i) {
     const int64_t m = step * static_cast<int64_t>(i + 1);
     std::vector<int64_t> frames(permutation->begin(), permutation->begin() + m);
-    auto outputs = fresh.Outputs(spec_, frames, resolution, 1.0);
-    ASSERT_TRUE(outputs.ok());
-    auto expected = EstimateFromOutputs(spec_, *outputs, population, population, resolution, 0.05);
+    query::OutputColumn outputs;
+    ASSERT_TRUE(fresh.AppendOutputs(spec_, frames, resolution, 1.0, outputs).ok());
+    auto expected = EstimateFromOutputs(spec_, outputs.output_span(), population, population,
+                                        resolution, 0.05);
     ASSERT_TRUE(expected.ok());
     EXPECT_EQ(sizing->curve[i].first, static_cast<double>(m) / static_cast<double>(population));
     EXPECT_EQ(sizing->curve[i].second, expected->estimate.err_b) << "step " << i;

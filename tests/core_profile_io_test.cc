@@ -121,6 +121,24 @@ TEST(ProfileIoTest, MalformedNumericCellFails) {
   std::remove(path.c_str());
 }
 
+TEST(ProfileIoTest, NanCellFailsToLoad) {
+  // "nan" parses as a double, so only validation can refuse it.
+  Profile original = MakeProfile();
+  std::string path = testing::TempDir() + "/smk_profile_nan.csv";
+  for (const char* row : {
+           "nan,320,0,1.0,0.1,0.1,17.0,0,100\n",  // Sample fraction.
+           "0.1,320,0,nan,0.1,0.1,17.0,0,100\n",  // Contrast scale.
+       }) {
+    ASSERT_TRUE(SaveProfile(original, path).ok());
+    {
+      std::ofstream out(path, std::ios::app);
+      out << row;
+    }
+    EXPECT_FALSE(LoadProfile(path).ok()) << row;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ProfileIoTest, MalformedHeaderValueFails) {
   Profile original = MakeProfile();
   std::string path = testing::TempDir() + "/smk_profile_badhdr.csv";

@@ -227,16 +227,17 @@ TEST_F(ProfilerTest, ReuseMakesNestedSamples) {
     iv.resolution = 320;
     candidates.push_back(iv);
   }
-  source_->ResetCounters();
+  const int64_t invocations_before = source_->model_invocations();
+  const int64_t hits_before = source_->cache_hits();
   stats::Rng rng(4);
   auto profile = profiler.Generate(candidates, rng);
   ASSERT_TRUE(profile.ok());
   // Invocations: only the union of nested prefixes = 0.3 * 1500 = 450.
-  EXPECT_EQ(source_->model_invocations(), 450);
+  EXPECT_EQ(source_->model_invocations() - invocations_before, 450);
   // Reuse is structural now: each fraction extends the group's shared output
   // column instead of re-requesting its whole prefix, so the smaller
   // prefixes are served without even probing the cache.
-  EXPECT_EQ(source_->cache_hits(), 0);
+  EXPECT_EQ(source_->cache_hits() - hits_before, 0);
 }
 
 TEST_F(ProfilerTest, RejectsEmptyCandidates) {

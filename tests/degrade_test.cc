@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "degrade/degraded_view.h"
@@ -40,6 +41,19 @@ TEST(InterventionSetTest, ValidationRejectsBadKnobs) {
   EXPECT_FALSE(iv.Validate().ok());
   iv.contrast_scale = 1.2;
   EXPECT_FALSE(iv.Validate().ok());
+}
+
+TEST(InterventionSetTest, ValidationRejectsNanFraction) {
+  InterventionSet iv;
+  iv.sample_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(iv.Validate().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(InterventionSetTest, ValidationRejectsNanContrast) {
+  // A NaN contrast would otherwise key the memo at llround(NaN).
+  InterventionSet iv;
+  iv.contrast_scale = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(iv.Validate().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(InterventionSetTest, ValidationRejectsClassesThePriorDoesNotRecord) {

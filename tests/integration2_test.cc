@@ -1,11 +1,13 @@
 // Second integration suite: cross-module workflows added after the core
-// pipeline — interpolation over generated profiles, trace-driven estimation,
+// pipeline — interpolation over generated profiles, store-driven estimation,
 // admin session over real profiles, threshold adjustment, CLI-style parsing
 // into execution.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <numeric>
 
 #include "core/admin_session.h"
 #include "core/candidate_design.h"
@@ -16,9 +18,10 @@
 #include "core/tradeoff.h"
 #include "detect/models.h"
 #include "query/executor.h"
+#include "query/output_store.h"
 #include "query/parser.h"
-#include "query/trace.h"
 #include "stats/sampling.h"
+#include "util/env.h"
 #include "video/presets.h"
 
 namespace smokescreen {
@@ -135,23 +138,39 @@ TEST_F(WorkflowTest, ProfileSurvivesPersistenceIntoAdminSession) {
 }
 
 TEST_F(WorkflowTest, TraceDrivenEstimationMatchesLive) {
-  // Record a trace at 320px, then estimate from it; the bound must equal a
-  // live estimation over the same sampled frames.
-  auto trace = query::OutputTrace::Record(*source_, {320});
-  ASSERT_TRUE(trace.ok());
+  // Memoize every frame at 320px and persist the memo: export, serialize,
+  // load the bytes back and preload them into a fresh source. Estimating
+  // from the stored outputs must match a live estimation over the same
+  // sampled frames, and the stored source must never invoke the model.
+  std::vector<int64_t> all(static_cast<size_t>(dataset_->num_frames()));
+  std::iota(all.begin(), all.end(), int64_t{0});
+  std::vector<int> recorded(all.size());
+  ASSERT_TRUE(source_->FillCounts(all, 320, 1.0, recorded).ok());
+  auto bytes = source_->ExportStore().Serialize();
+  ASSERT_TRUE(bytes.ok());
+  const std::string path = testing::TempDir() + "/smk_workflow_store.smkc";
+  ASSERT_TRUE(util::Env::Default().WriteFileAtomic(path, *bytes).ok());
+  auto stored = query::OutputStore::Load(path);
+  ASSERT_TRUE(stored.ok());
+  query::FrameOutputSource replay(*dataset_, yolo_, ObjectClass::kCar);
+  auto loaded = replay.Preload(*stored);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(*loaded, dataset_->num_frames());
   query::QuerySpec spec;
-  auto trace_outputs = trace->Outputs(spec, 320);
-  ASSERT_TRUE(trace_outputs.ok());
+  query::OutputColumn stored_outputs;
+  ASSERT_TRUE(replay.AppendOutputs(spec, all, 320, 1.0, stored_outputs).ok());
+  EXPECT_EQ(replay.model_invocations(), 0);
+  std::remove(path.c_str());
 
   stats::Rng rng(5);
   auto idx = stats::SampleWithoutReplacement(dataset_->num_frames(), 200, rng);
   ASSERT_TRUE(idx.ok());
+  std::vector<int> live(idx->size());
+  ASSERT_TRUE(source_->FillCounts(*idx, 320, 1.0, live).ok());
   std::vector<double> trace_sample, live_sample;
-  for (int64_t i : *idx) {
-    trace_sample.push_back((*trace_outputs)[static_cast<size_t>(i)]);
-    auto live = source_->RawCount(i, 320);
-    ASSERT_TRUE(live.ok());
-    live_sample.push_back(spec.TransformOutput(*live));
+  for (size_t k = 0; k < idx->size(); ++k) {
+    trace_sample.push_back(stored_outputs.outputs[static_cast<size_t>((*idx)[k])]);
+    live_sample.push_back(spec.TransformOutput(live[k]));
   }
   EXPECT_EQ(trace_sample, live_sample);
 

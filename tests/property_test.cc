@@ -319,22 +319,23 @@ TEST_P(PipelineDeterminismProperty, SameSeedSameEstimate) {
   stats::Rng rng_c(GetParam());
   auto view = degrade::DegradedView::Create(*ds, *prior, iv, yolo.max_resolution(), rng_c);
   ASSERT_TRUE(view.ok());
-  auto sampled = source_b.Outputs(spec, view->sampled_frames(), view->resolution(),
-                                  view->contrast_scale());
-  ASSERT_TRUE(sampled.ok());
-  ASSERT_EQ(static_cast<int64_t>(sampled->size()), a->sample_size);
+  query::OutputColumn sampled;
+  ASSERT_TRUE(source_b.AppendOutputs(spec, view->sampled_frames(), view->resolution(),
+                                     view->contrast_scale(), sampled).ok());
+  ASSERT_EQ(static_cast<int64_t>(sampled.size()), a->sample_size);
   SmokescreenMeanEstimator mean_estimator;
-  auto direct = mean_estimator.EstimateMean(*sampled, view->eligible_population(), 0.05);
+  auto direct = mean_estimator.EstimateMean(sampled.outputs, view->eligible_population(), 0.05);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(a->estimate.y_approx, direct->y_approx);
   EXPECT_EQ(a->estimate.err_b, direct->err_b);
 
   // Cached re-read gives identical outputs (reuse correctness).
-  auto outputs_again = source_a.Outputs(spec, {0, 1, 2, 3}, 320, 1.0);
-  auto outputs_fresh = source_b.Outputs(spec, {0, 1, 2, 3}, 320, 1.0);
-  ASSERT_TRUE(outputs_again.ok());
-  ASSERT_TRUE(outputs_fresh.ok());
-  EXPECT_EQ(*outputs_again, *outputs_fresh);
+  const std::vector<int64_t> frames = {0, 1, 2, 3};
+  query::OutputColumn outputs_again;
+  query::OutputColumn outputs_fresh;
+  ASSERT_TRUE(source_a.AppendOutputs(spec, frames, 320, 1.0, outputs_again).ok());
+  ASSERT_TRUE(source_b.AppendOutputs(spec, frames, 320, 1.0, outputs_fresh).ok());
+  EXPECT_EQ(outputs_again.outputs, outputs_fresh.outputs);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineDeterminismProperty,

@@ -1,8 +1,8 @@
 // Batched execution correctness: the FillCounts batch core must be
-// bit-identical to per-frame RawCount at EVERY batch size, on both presets,
-// including contrast-degraded and restricted-class (COUNT predicate)
-// queries — and the invocation/hit counters must tally a batch exactly as
-// the scalar path would (N distinct misses = N invocations).
+// bit-identical to per-frame CountDetections at EVERY batch size, on both
+// presets, including contrast-degraded and restricted-class (COUNT
+// predicate) queries — and the invocation/hit counters must tally a batch
+// exactly as the scalar path would (N distinct misses = N invocations).
 
 #include "query/output_source.h"
 
@@ -25,6 +25,15 @@ namespace {
 using video::ObjectClass;
 using video::ScenePreset;
 
+// Raw counts for `frames` through FillCounts, or the request's error.
+util::Result<std::vector<int>> Counts(FrameOutputSource& source,
+                                      const std::vector<int64_t>& frames, int resolution,
+                                      double contrast_scale = 1.0) {
+  std::vector<int> out(frames.size());
+  SMK_RETURN_IF_ERROR(source.FillCounts(frames, resolution, contrast_scale, out));
+  return out;
+}
+
 class BatchedExecutionTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -46,11 +55,10 @@ TEST_F(BatchedExecutionTest, BitIdenticalToScalarAtEveryBatchSize) {
     auto ds = video::MakePresetScaled(preset, 300);
     ASSERT_TRUE(ds.ok());
     for (double contrast : {1.0, 0.5}) {
-      // Scalar reference: a fresh source queried one frame at a time.
-      FrameOutputSource scalar(*ds, yolo_, ObjectClass::kCar);
+      // Scalar reference: the detector queried one frame at a time.
       std::vector<int> reference;
       for (int64_t frame = 0; frame < ds->num_frames(); ++frame) {
-        auto count = scalar.RawCount(frame, 320, contrast);
+        auto count = yolo_.CountDetections(*ds, frame, 320, ObjectClass::kCar, contrast);
         ASSERT_TRUE(count.ok());
         reference.push_back(*count);
       }
@@ -59,7 +67,7 @@ TEST_F(BatchedExecutionTest, BitIdenticalToScalarAtEveryBatchSize) {
       for (int64_t batch_size : {int64_t{1}, int64_t{3}, int64_t{64}, int64_t{0}}) {
         FrameOutputSource batched(*ds, yolo_, ObjectClass::kCar);
         batched.set_max_batch_size(batch_size);
-        auto counts = batched.RawCounts(frames, 320, contrast);
+        auto counts = Counts(batched, frames, 320, contrast);
         ASSERT_TRUE(counts.ok());
         EXPECT_EQ(*counts, reference) << "contrast " << contrast << " batch " << batch_size;
         // Identical accounting too: every frame was a distinct miss.
@@ -72,8 +80,8 @@ TEST_F(BatchedExecutionTest, BitIdenticalToScalarAtEveryBatchSize) {
 
 TEST_F(BatchedExecutionTest, RestrictedClassCountQueryMatchesScalarTransform) {
   // A COUNT(person >= 2) query over the face/person restricted classes: the
-  // batched Outputs path (FillCounts + column-wise OutputTransform) must
-  // reproduce the scalar per-frame TransformOutput exactly.
+  // batched AppendOutputs path (FillCounts + column-wise OutputTransform)
+  // must reproduce the scalar per-frame TransformOutput exactly.
   detect::SimMtcnn mtcnn;
   QuerySpec spec;
   spec.aggregate = AggregateFunction::kCount;
@@ -84,24 +92,23 @@ TEST_F(BatchedExecutionTest, RestrictedClassCountQueryMatchesScalarTransform) {
   std::vector<int64_t> frames;
   for (int64_t frame = 0; frame < 200; ++frame) frames.push_back(frame);
 
-  FrameOutputSource scalar(*dataset_, mtcnn, ObjectClass::kFace);
   std::vector<double> reference;
   for (int64_t frame : frames) {
-    auto count = scalar.RawCount(frame, 320);
+    auto count = mtcnn.CountDetections(*dataset_, frame, 320, ObjectClass::kFace, 1.0);
     ASSERT_TRUE(count.ok());
     reference.push_back(spec.TransformOutput(*count));
   }
 
   FrameOutputSource batched(*dataset_, mtcnn, ObjectClass::kFace);
   batched.set_max_batch_size(7);
-  auto outputs = batched.Outputs(spec, frames, 320);
-  ASSERT_TRUE(outputs.ok());
-  EXPECT_EQ(*outputs, reference);
+  OutputColumn column;
+  ASSERT_TRUE(batched.AppendOutputs(spec, frames, 320, 1.0, column).ok());
+  EXPECT_EQ(column.outputs, reference);
 }
 
 TEST_F(BatchedExecutionTest, EmptyFrameListIsANoOp) {
   FrameOutputSource source = MakeSource();
-  auto counts = source.RawCounts({}, 320);
+  auto counts = Counts(source, {}, 320);
   ASSERT_TRUE(counts.ok());
   EXPECT_TRUE(counts->empty());
   EXPECT_EQ(source.model_invocations(), 0);
@@ -109,7 +116,7 @@ TEST_F(BatchedExecutionTest, EmptyFrameListIsANoOp) {
 
   QuerySpec spec;
   OutputColumn column;
-  ASSERT_TRUE(source.OutputsInto(spec, {}, 320, 1.0, column).ok());
+  ASSERT_TRUE(source.AppendOutputs(spec, {}, 320, 1.0, column).ok());
   EXPECT_EQ(column.size(), 0u);
 }
 
@@ -118,7 +125,7 @@ TEST_F(BatchedExecutionTest, DuplicateFramesComputeOnceAndCountAsHits) {
   // slots are served from the just-computed entries -> 2 hits, exactly what
   // the scalar path would report.
   FrameOutputSource source = MakeSource();
-  auto counts = source.RawCounts({5, 5, 7, 5}, 320);
+  auto counts = Counts(source, {5, 5, 7, 5}, 320);
   ASSERT_TRUE(counts.ok());
   ASSERT_EQ(counts->size(), 4u);
   EXPECT_EQ((*counts)[0], (*counts)[1]);
@@ -134,7 +141,7 @@ TEST_F(BatchedExecutionTest, DuplicateFramesComputeOnceAndCountAsHits) {
 TEST_F(BatchedExecutionTest, OutOfOrderFramesPreserveRequestOrder) {
   FrameOutputSource source = MakeSource();
   std::vector<int64_t> frames = {311, 2, 97, 0, 255, 42, 97};
-  auto counts = source.RawCounts(frames, 320);
+  auto counts = Counts(source, frames, 320);
   ASSERT_TRUE(counts.ok());
   for (size_t i = 0; i < frames.size(); ++i) {
     auto direct = yolo_.CountDetections(*dataset_, frames[i], 320, ObjectClass::kCar, 1.0);
@@ -147,7 +154,7 @@ TEST_F(BatchedExecutionTest, OutOfOrderFramesPreserveRequestOrder) {
 
 TEST_F(BatchedExecutionTest, OutOfRangeFrameFailsWholeBatch) {
   FrameOutputSource source = MakeSource();
-  auto counts = source.RawCounts({0, 1, dataset_->num_frames()}, 320);
+  auto counts = Counts(source, {0, 1, dataset_->num_frames()}, 320);
   EXPECT_FALSE(counts.ok());
 }
 
@@ -157,13 +164,13 @@ TEST_F(BatchedExecutionTest, HalfCachedBatchCountsHitsAndMissesExactly) {
   FrameOutputSource source = MakeSource();
   std::vector<int64_t> warm(50);
   std::iota(warm.begin(), warm.end(), int64_t{0});
-  ASSERT_TRUE(source.RawCounts(warm, 320).ok());
+  ASSERT_TRUE(Counts(source, warm, 320).ok());
   ASSERT_EQ(source.model_invocations(), 50);
   ASSERT_EQ(source.cache_hits(), 0);
 
   std::vector<int64_t> request(100);
   std::iota(request.begin(), request.end(), int64_t{0});
-  auto counts = source.RawCounts(request, 320);
+  auto counts = Counts(source, request, 320);
   ASSERT_TRUE(counts.ok());
   EXPECT_EQ(source.model_invocations(), 100);
   EXPECT_EQ(source.cache_hits(), 50);
@@ -189,7 +196,7 @@ TEST_F(BatchedExecutionTest, AppendOutputsGrowsColumnAsPrefixExtension) {
 
   FrameOutputSource oneshot = MakeSource();
   OutputColumn whole;
-  ASSERT_TRUE(oneshot.OutputsInto(spec, all, 320, 1.0, whole).ok());
+  ASSERT_TRUE(oneshot.AppendOutputs(spec, all, 320, 1.0, whole).ok());
   EXPECT_EQ(grown.outputs, whole.outputs);
   EXPECT_EQ(grown.counts, whole.counts);
 }
@@ -213,7 +220,7 @@ TEST_F(BatchedExecutionTest, ConcurrentBatchedHammerKeepsExactAccounting) {
       std::vector<int64_t> window(kWindow);
       std::iota(window.begin(), window.end(), t * kStride);
       for (int repeat = 0; repeat < 3; ++repeat) {
-        auto counts = source.RawCounts(window, 320);
+        auto counts = Counts(source, window, 320);
         total_requested.fetch_add(kWindow);
         if (!counts.ok()) failed.store(true);
       }
@@ -227,11 +234,13 @@ TEST_F(BatchedExecutionTest, ConcurrentBatchedHammerKeepsExactAccounting) {
   EXPECT_EQ(source.model_invocations(), distinct);
   EXPECT_EQ(source.cache_hits(), total_requested.load() - distinct);
 
-  for (int64_t frame : {int64_t{0}, int64_t{69}, int64_t{133}, int64_t{269}}) {
-    auto cached = source.RawCount(frame, 320);
-    auto direct = yolo_.CountDetections(*dataset_, frame, 320, ObjectClass::kCar, 1.0);
-    ASSERT_TRUE(cached.ok());
-    EXPECT_EQ(*cached, *direct) << "frame " << frame;
+  const std::vector<int64_t> spot = {0, 69, 133, 269};
+  auto cached = Counts(source, spot, 320);
+  ASSERT_TRUE(cached.ok());
+  for (size_t i = 0; i < spot.size(); ++i) {
+    auto direct = yolo_.CountDetections(*dataset_, spot[i], 320, ObjectClass::kCar, 1.0);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ((*cached)[i], *direct) << "frame " << spot[i];
   }
 }
 

@@ -4,8 +4,11 @@
 // concurrent overlapping callers and pooled miss batches, lock-free hits
 // see counts published by other threads, contiguous ranges claim exactly
 // their own frames, exports are byte-identical whatever the request order
-// and round-trip through preload (past 2^17 frames too), failed batches
-// release their claims, and the retry/watchdog policy and metric mirrors.
+// and round-trip through preload (past 2^17 frames too), rejected
+// resolutions leave no column, failed batches release their claims, a
+// request waiting on another thread's frames computes its own claims first
+// and re-claims what a failed owner released, the pool engages at 32 misses
+// per worker, and the retry/watchdog policy and metric mirrors.
 
 #include "query/output_source.h"
 
@@ -13,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -32,6 +36,24 @@ namespace {
 using video::ObjectClass;
 using video::ScenePreset;
 
+// Raw counts for `frames` through FillCounts, or the request's error.
+util::Result<std::vector<int>> Counts(FrameOutputSource& source,
+                                      const std::vector<int64_t>& frames, int resolution,
+                                      double contrast_scale = 1.0) {
+  std::vector<int> out(frames.size());
+  SMK_RETURN_IF_ERROR(source.FillCounts(frames, resolution, contrast_scale, out));
+  return out;
+}
+
+// The raw count of one frame through a single-frame FillCounts.
+util::Result<int> Count(FrameOutputSource& source, int64_t frame, int resolution,
+                        double contrast_scale = 1.0) {
+  int out = 0;
+  SMK_RETURN_IF_ERROR(source.FillCounts(std::span<const int64_t>(&frame, 1), resolution,
+                                        contrast_scale, std::span<int>(&out, 1)));
+  return out;
+}
+
 class OutputSourceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -49,12 +71,12 @@ class OutputSourceTest : public ::testing::Test {
 TEST_F(OutputSourceTest, ContrastIsQuantizedAt4096Steps) {
   // Contrasts within one 1/4096 step share a memo entry (intended
   // sharing): the second request is a hit ...
-  ASSERT_TRUE(source_->RawCount(1, 320, 0.5).ok());
-  ASSERT_TRUE(source_->RawCount(1, 320, 0.5 + 1e-7).ok());
+  ASSERT_TRUE(Count(*source_, 1, 320, 0.5).ok());
+  ASSERT_TRUE(Count(*source_, 1, 320, 0.5 + 1e-7).ok());
   EXPECT_EQ(source_->model_invocations(), 1);
   EXPECT_EQ(source_->cache_hits(), 1);
   // ... and a contrast in another step is a distinct key.
-  ASSERT_TRUE(source_->RawCount(1, 320, 0.51).ok());
+  ASSERT_TRUE(Count(*source_, 1, 320, 0.51).ok());
   EXPECT_EQ(source_->model_invocations(), 2);
   EXPECT_EQ(source_->cache_hits(), 1);
 }
@@ -66,7 +88,7 @@ TEST_F(OutputSourceTest, EveryTripleMatchesDirectDetectorCall) {
   for (int64_t frame = 0; frame < 60; ++frame) {
     for (int resolution : {320, 608}) {
       for (double contrast : {1.0, 0.5}) {
-        auto cached = source_->RawCount(frame, resolution, contrast);
+        auto cached = Count(*source_, frame, resolution, contrast);
         ASSERT_TRUE(cached.ok());
         auto direct =
             yolo_.CountDetections(*dataset_, frame, resolution, ObjectClass::kCar, contrast);
@@ -82,9 +104,9 @@ TEST_F(OutputSourceTest, EveryTripleMatchesDirectDetectorCall) {
 }
 
 TEST_F(OutputSourceTest, RepeatLookupsHitCache) {
-  ASSERT_TRUE(source_->RawCount(5, 320).ok());
-  ASSERT_TRUE(source_->RawCount(5, 320).ok());
-  ASSERT_TRUE(source_->RawCount(5, 320).ok());
+  ASSERT_TRUE(Count(*source_, 5, 320).ok());
+  ASSERT_TRUE(Count(*source_, 5, 320).ok());
+  ASSERT_TRUE(Count(*source_, 5, 320).ok());
   EXPECT_EQ(source_->model_invocations(), 1);
   EXPECT_EQ(source_->cache_hits(), 2);
 }
@@ -108,7 +130,7 @@ TEST_F(OutputSourceTest, ConcurrentHammerKeepsExactAccounting) {
     threads.emplace_back([&, t] {
       for (int resolution : resolutions) {
         for (int64_t frame = t * kStride; frame < t * kStride + kWindow; ++frame) {
-          auto count = source_->RawCount(frame, resolution);
+          auto count = Count(*source_, frame, resolution);
           total_calls.fetch_add(1);
           if (!count.ok()) failed.store(true);
         }
@@ -134,7 +156,7 @@ TEST_F(OutputSourceTest, ConcurrentHammerKeepsExactAccounting) {
   // Spot-check correctness of the surviving cache entries.
   for (int64_t frame : {int64_t{0}, int64_t{37}, int64_t{133}, int64_t{269}}) {
     for (int resolution : resolutions) {
-      auto cached = source_->RawCount(frame, resolution);
+      auto cached = Count(*source_, frame, resolution);
       auto direct =
           yolo_.CountDetections(*dataset_, frame, resolution, ObjectClass::kCar, 1.0);
       ASSERT_TRUE(cached.ok());
@@ -178,7 +200,7 @@ TEST_F(OutputSourceTest, ParallelMissBatchMatchesSerialBitForBit) {
   std::iota(frames.begin(), frames.end(), int64_t{0});
 
   FrameOutputSource serial(*dataset_, yolo_, ObjectClass::kCar);
-  auto want = serial.RawCounts(frames, 320);
+  auto want = Counts(serial, frames, 320);
   ASSERT_TRUE(want.ok());
 
   for (int threads : {1, 2, 3, 8, 16}) {
@@ -187,7 +209,7 @@ TEST_F(OutputSourceTest, ParallelMissBatchMatchesSerialBitForBit) {
       FrameOutputSource cold(*dataset_, yolo_, ObjectClass::kCar);
       cold.set_thread_pool(&pool);
       cold.set_max_batch_size(max_batch);
-      auto got = cold.RawCounts(frames, 320);
+      auto got = Counts(cold, frames, 320);
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(*got, *want) << "threads " << threads << " max_batch " << max_batch;
       EXPECT_EQ(cold.model_invocations(), dataset_->num_frames())
@@ -209,9 +231,8 @@ TEST_F(OutputSourceTest, ParallelMissChunksRespectMaxBatchSize) {
   util::ThreadPool pool(4);
   FrameOutputSource source(*dataset_, probe, ObjectClass::kCar);
   source.set_thread_pool(&pool);
-  source.set_max_batch_size(kMaxBatch);
-  source.set_parallel_min_misses(1);  // Force the parallel path.
-  ASSERT_TRUE(source.RawCounts(frames, 320).ok());
+  source.set_max_batch_size(kMaxBatch);  // 400 misses engage a 4-wide pool.
+  ASSERT_TRUE(Counts(source, frames, 320).ok());
 
   const std::vector<int64_t> sizes = probe.batch_sizes();
   ASSERT_FALSE(sizes.empty());
@@ -235,7 +256,6 @@ TEST_F(OutputSourceTest, ParallelMissConcurrentCallersStayExactlyOnce) {
   util::ThreadPool pool(2);
   source_->set_thread_pool(&pool);
   source_->set_max_batch_size(64);
-  source_->set_parallel_min_misses(1);
 
   std::atomic<int64_t> total_calls{0};
   std::atomic<bool> failed{false};
@@ -245,7 +265,7 @@ TEST_F(OutputSourceTest, ParallelMissConcurrentCallersStayExactlyOnce) {
     callers.emplace_back([&, t] {
       std::vector<int64_t> window(kWindow);
       std::iota(window.begin(), window.end(), t * kStride);
-      auto counts = source_->RawCounts(window, 320);
+      auto counts = Counts(*source_, window, 320);
       total_calls.fetch_add(kWindow);
       if (!counts.ok()) failed.store(true);
     });
@@ -257,7 +277,7 @@ TEST_F(OutputSourceTest, ParallelMissConcurrentCallersStayExactlyOnce) {
   EXPECT_EQ(source_->model_invocations(), distinct);
   EXPECT_EQ(source_->cache_hits(), total_calls.load() - distinct);
   for (int64_t frame : {int64_t{0}, int64_t{149}, int64_t{399}}) {
-    auto cached = source_->RawCount(frame, 320);
+    auto cached = Count(*source_, frame, 320);
     auto direct = yolo_.CountDetections(*dataset_, frame, 320, ObjectClass::kCar, 1.0);
     ASSERT_TRUE(cached.ok());
     EXPECT_EQ(*cached, *direct) << "frame " << frame;
@@ -273,7 +293,7 @@ TEST_F(OutputSourceTest, ConcurrentSameKeyComputesExactlyOnce) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 50; ++i) {
-        if (!source_->RawCount(11, 320).ok()) failed.store(true);
+        if (!Count(*source_, 11, 320).ok()) failed.store(true);
       }
     });
   }
@@ -283,33 +303,34 @@ TEST_F(OutputSourceTest, ConcurrentSameKeyComputesExactlyOnce) {
   EXPECT_EQ(source_->cache_hits(), kThreads * 50 - 1);
 }
 
-TEST_F(OutputSourceTest, ParallelMinChunkShapesBatchesNeverResults) {
-  // set_parallel_min_chunk shapes how a pooled miss-batch is split, but it
-  // must never change counts or accounting, and max_batch_size stays a hard
-  // per-call cap regardless of the chunk knob.
-  constexpr int64_t kMaxBatch = 50;
+TEST_F(OutputSourceTest, PooledMaxBatchSizeShapesBatchesNeverResults) {
+  // max_batch_size shapes how a pooled miss-batch is split: the chunks are
+  // exactly ceil(misses / max_batch_size) calls of at most max_batch_size
+  // frames, whatever the pool width. It must never change counts or
+  // accounting.
   std::vector<int64_t> frames(static_cast<size_t>(dataset_->num_frames()));
   std::iota(frames.begin(), frames.end(), int64_t{0});
-  auto want = source_->RawCounts(frames, 320);
+  auto want = Counts(*source_, frames, 320);
   ASSERT_TRUE(want.ok());
 
-  for (int64_t min_chunk : {int64_t{7}, int64_t{50}, int64_t{200}}) {
+  for (int64_t max_batch : {int64_t{7}, int64_t{50}, int64_t{200}}) {
     ProbeDetector probe;
     util::ThreadPool pool(4);
     FrameOutputSource source(*dataset_, probe, ObjectClass::kCar);
-    source.set_thread_pool(&pool);
-    source.set_max_batch_size(kMaxBatch);
-    source.set_parallel_min_misses(1);  // Force the parallel path.
-    source.set_parallel_min_chunk(min_chunk);
-    auto got = source.RawCounts(frames, 320);
+    source.set_thread_pool(&pool);  // 400 misses engage a 4-wide pool.
+    source.set_max_batch_size(max_batch);
+    auto got = Counts(source, frames, 320);
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, *want) << "min_chunk " << min_chunk;
+    EXPECT_EQ(*got, *want) << "max_batch " << max_batch;
 
-    const int64_t cap = std::min(kMaxBatch, min_chunk);
+    const std::vector<int64_t> sizes = probe.batch_sizes();
+    EXPECT_EQ(static_cast<int64_t>(sizes.size()),
+              (dataset_->num_frames() + max_batch - 1) / max_batch)
+        << "max_batch " << max_batch;
     int64_t covered = 0;
-    for (int64_t size : probe.batch_sizes()) {
+    for (int64_t size : sizes) {
       EXPECT_GE(size, 1);
-      EXPECT_LE(size, cap) << "min_chunk " << min_chunk;
+      EXPECT_LE(size, max_batch) << "max_batch " << max_batch;
       covered += size;
     }
     EXPECT_EQ(covered, dataset_->num_frames());
@@ -317,14 +338,34 @@ TEST_F(OutputSourceTest, ParallelMinChunkShapesBatchesNeverResults) {
   }
 }
 
+TEST_F(OutputSourceTest, PooledChunksAreAtMost1024Frames) {
+  // Without a max_batch_size, a pooled cold batch is split into 1024-frame
+  // chunks whatever the pool width, so the CountBatch calls are the same at
+  // every width.
+  auto large = video::MakePresetScaled(ScenePreset::kUaDetrac, 3000);
+  ASSERT_TRUE(large.ok());
+  std::vector<int64_t> frames(static_cast<size_t>(large->num_frames()));
+  std::iota(frames.begin(), frames.end(), int64_t{0});
+  for (int threads : {2, 4}) {
+    ProbeDetector probe;
+    util::ThreadPool pool(threads);
+    FrameOutputSource source(*large, probe, ObjectClass::kCar);
+    source.set_thread_pool(&pool);
+    ASSERT_TRUE(Counts(source, frames, 320).ok());
+    std::vector<int64_t> sizes = probe.batch_sizes();
+    std::sort(sizes.begin(), sizes.end());
+    EXPECT_EQ(sizes, (std::vector<int64_t>{952, 1024, 1024})) << "threads " << threads;
+  }
+}
+
 TEST_F(OutputSourceTest, OutOfRangeFramesRejectedWithoutAccounting) {
-  auto high = source_->RawCounts({0, dataset_->num_frames()}, 320);
+  auto high = Counts(*source_, {0, dataset_->num_frames()}, 320);
   ASSERT_FALSE(high.ok());
   EXPECT_EQ(high.status().code(), util::StatusCode::kOutOfRange);
-  auto low = source_->RawCounts({int64_t{-1}}, 320);
+  auto low = Counts(*source_, {int64_t{-1}}, 320);
   ASSERT_FALSE(low.ok());
   EXPECT_EQ(low.status().code(), util::StatusCode::kOutOfRange);
-  auto single = source_->RawCount(dataset_->num_frames(), 320);
+  auto single = Count(*source_, dataset_->num_frames(), 320);
   ASSERT_FALSE(single.ok());
   EXPECT_EQ(single.status().code(), util::StatusCode::kOutOfRange);
   // A rejected request installs nothing and tallies nothing.
@@ -333,14 +374,48 @@ TEST_F(OutputSourceTest, OutOfRangeFramesRejectedWithoutAccounting) {
   EXPECT_EQ(source_->ExportStore().TotalEntries(), 0);
 }
 
+TEST_F(OutputSourceTest, RejectedResolutionLeavesNoColumn) {
+  // The model rejects 7 px before anything is claimed, and the request must
+  // not leave an empty memo column behind for ExportStore to persist.
+  auto rejected = Counts(*source_, {0, 1, 2}, 7);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(source_->ExportStore().columns().empty());
+  EXPECT_EQ(source_->model_invocations(), 0);
+  EXPECT_EQ(source_->cache_hits(), 0);
+}
+
+TEST_F(OutputSourceTest, PreloadSkipsColumnsTheModelRejects) {
+  // A store column at a resolution the model rejects is skipped like another
+  // class's column: it installs nothing and creates no memo column.
+  OutputStore store(dataset_->dataset_id(), yolo_.model_id(), dataset_->num_frames());
+  OutputColumnRecord invalid;
+  invalid.resolution = 7;
+  invalid.cls = static_cast<int>(ObjectClass::kCar);
+  invalid.contrast_q = QuantizeContrast(1.0);
+  invalid.frames = {0, 1};
+  invalid.counts = {3, 4};
+  store.AddColumn(invalid);
+  OutputColumnRecord valid = invalid;
+  valid.resolution = 320;
+  store.AddColumn(valid);
+
+  auto loaded = source_->Preload(store);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(*loaded, 2);
+  OutputStore exported = source_->ExportStore();
+  ASSERT_EQ(exported.columns().size(), 1u);
+  EXPECT_EQ(exported.columns()[0].resolution, 320);
+}
+
 TEST_F(OutputSourceTest, ExportPreloadRoundTripsSparseColumns) {
   // Sparse frames in two columns, one at a non-unit contrast: a source
   // warm-started from the export answers them with zero invocations, and
   // exports the same store again (columns and frames in the same order).
   const std::vector<int64_t> frames = {0, 1, 2, 3, 50, 399};
-  auto cold = source_->RawCounts(frames, 320);
+  auto cold = Counts(*source_, frames, 320);
   ASSERT_TRUE(cold.ok());
-  ASSERT_TRUE(source_->RawCounts({7, 5}, 608, 0.5).ok());
+  ASSERT_TRUE(Counts(*source_, {7, 5}, 608, 0.5).ok());
   OutputStore exported = source_->ExportStore();
   EXPECT_EQ(exported.TotalEntries(), 8);
 
@@ -348,10 +423,10 @@ TEST_F(OutputSourceTest, ExportPreloadRoundTripsSparseColumns) {
   auto loaded = warm.Preload(exported);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, 8);
-  auto warm_counts = warm.RawCounts(frames, 320);
+  auto warm_counts = Counts(warm, frames, 320);
   ASSERT_TRUE(warm_counts.ok());
   EXPECT_EQ(*warm_counts, *cold);
-  ASSERT_TRUE(warm.RawCount(5, 608, 0.5).ok());
+  ASSERT_TRUE(Count(warm, 5, 608, 0.5).ok());
   EXPECT_EQ(warm.model_invocations(), 0);  // The 608/0.5 column carried over too.
   EXPECT_EQ(warm.cache_hits(), static_cast<int64_t>(frames.size()) + 1);
 
@@ -377,10 +452,10 @@ TEST_F(OutputSourceTest, BatchAndScalarHammerKeepsExactAccounting) {
     threads.emplace_back([&, t] {
       std::vector<int64_t> window(kWindow);
       std::iota(window.begin(), window.end(), t * kStride);
-      if (!source_->RawCounts(window, 320).ok()) failed.store(true);
+      if (!Counts(*source_, window, 320).ok()) failed.store(true);
       total_calls.fetch_add(kWindow);
       for (int64_t frame = t * kStride; frame < t * kStride + 20; ++frame) {
-        if (!source_->RawCount(frame, 320).ok()) failed.store(true);
+        if (!Count(*source_, frame, 320).ok()) failed.store(true);
         total_calls.fetch_add(1);
       }
     });
@@ -392,7 +467,7 @@ TEST_F(OutputSourceTest, BatchAndScalarHammerKeepsExactAccounting) {
   EXPECT_EQ(source_->model_invocations(), distinct);
   EXPECT_EQ(source_->cache_hits(), total_calls.load() - distinct);
   for (int64_t frame : {int64_t{0}, int64_t{95}, int64_t{269}}) {
-    auto cached = source_->RawCount(frame, 320);
+    auto cached = Count(*source_, frame, 320);
     auto direct = yolo_.CountDetections(*dataset_, frame, 320, ObjectClass::kCar, 1.0);
     ASSERT_TRUE(cached.ok());
     EXPECT_EQ(*cached, *direct) << "frame " << frame;
@@ -423,7 +498,7 @@ TEST_F(OutputSourceTest, DuplicateHeavyConcurrentBatchesStayExact) {
         frames.push_back(f);  // In-batch duplicate (dup_slots path).
         frames.push_back(f);
       }
-      auto counts = source_->RawCounts(frames, 320);
+      auto counts = Counts(*source_, frames, 320);
       if (!counts.ok()) {
         failed.store(true);
         return;
@@ -470,14 +545,14 @@ TEST_F(OutputSourceTest, LockFreeHitsSeeCountsPublishedByOtherThreads) {
   threads.emplace_back([&] {
     for (int64_t k = 0; k < kFrames; ++k) {
       // The repeat keeps the request off the contiguous fast path.
-      auto counts = source_->RawCounts({2 * k, 2 * k}, 320);
+      auto counts = Counts(*source_, {2 * k, 2 * k}, 320);
       if (!counts.ok() || (*counts)[0] != expected[k] || (*counts)[1] != expected[k]) {
         failed.store(true);
       }
       published.store(k + 1, std::memory_order_relaxed);
     }
     for (int c = 0; c < kNewColumns; ++c) {
-      if (!source_->RawCounts({0, 2}, 320, 0.5 + 0.05 * c).ok()) failed.store(true);
+      if (!Counts(*source_, {0, 2}, 320, 0.5 + 0.05 * c).ok()) failed.store(true);
     }
   });
   for (int r = 0; r < kReaders; ++r) {
@@ -487,7 +562,7 @@ TEST_F(OutputSourceTest, LockFreeHitsSeeCountsPublishedByOtherThreads) {
         if (n < 2) continue;
         std::vector<int64_t> frames;
         for (int64_t k = n - 1; k >= 0; --k) frames.push_back(2 * k);
-        auto counts = source_->RawCounts(frames, 320);
+        auto counts = Counts(*source_, frames, 320);
         reader_frames.fetch_add(n);
         for (int64_t k = 0; k < n && counts.ok(); ++k) {
           if ((*counts)[static_cast<size_t>(n - 1 - k)] != expected[k]) failed.store(true);
@@ -511,7 +586,7 @@ TEST_F(OutputSourceTest, ContiguousColdRangeMarksExactlyItsFrames) {
   std::iota(range.begin(), range.end(), int64_t{70});  // [70, 270).
   ProbeDetector probe;
   FrameOutputSource source(*dataset_, probe, ObjectClass::kCar);
-  auto counts = source.RawCounts(range, 320);
+  auto counts = Counts(source, range, 320);
   ASSERT_TRUE(counts.ok());
   EXPECT_EQ(probe.batch_sizes(), std::vector<int64_t>{200});  // One batch.
   EXPECT_EQ(source.model_invocations(), 200);
@@ -525,7 +600,7 @@ TEST_F(OutputSourceTest, ContiguousColdRangeMarksExactlyItsFrames) {
   EXPECT_EQ(exported.columns()[0].frames, range);
 
   // The first and last frames are hits; the frames just outside are misses.
-  for (int64_t frame : {69, 70, 269, 270}) ASSERT_TRUE(source.RawCount(frame, 320).ok());
+  for (int64_t frame : {69, 70, 269, 270}) ASSERT_TRUE(Count(source, frame, 320).ok());
   EXPECT_EQ(source.model_invocations(), 202);
   EXPECT_EQ(source.cache_hits(), 2);
 }
@@ -537,12 +612,12 @@ TEST_F(OutputSourceTest, ContiguousRangeOverPartlyWarmColumnStaysExact) {
   // one batch.
   ProbeDetector probe;
   FrameOutputSource source(*dataset_, probe, ObjectClass::kCar);
-  for (int64_t frame : {63, 64, 130}) ASSERT_TRUE(source.RawCount(frame, 320).ok());
+  ASSERT_TRUE(Counts(source, {63, 64, 130}, 320).ok());  // One batch of 3.
   std::vector<int64_t> range(140);
   std::iota(range.begin(), range.end(), int64_t{60});  // [60, 200).
-  auto counts = source.RawCounts(range, 320);
+  auto counts = Counts(source, range, 320);
   ASSERT_TRUE(counts.ok());
-  EXPECT_EQ(probe.batch_sizes(), std::vector<int64_t>{137});
+  EXPECT_EQ(probe.batch_sizes(), (std::vector<int64_t>{3, 137}));
   EXPECT_EQ(source.model_invocations(), 3 + 137);
   EXPECT_EQ(source.cache_hits(), 3);
   for (size_t i = 0; i < range.size(); ++i) {
@@ -552,10 +627,10 @@ TEST_F(OutputSourceTest, ContiguousRangeOverPartlyWarmColumnStaysExact) {
   }
 
   // The whole range is warm now: a replay is all hits and calls no batch.
-  auto replay = source.RawCounts(range, 320);
+  auto replay = Counts(source, range, 320);
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(*replay, *counts);
-  EXPECT_EQ(probe.batch_sizes().size(), 1u);
+  EXPECT_EQ(probe.batch_sizes().size(), 2u);
   EXPECT_EQ(source.model_invocations(), 3 + 137);
   EXPECT_EQ(source.cache_hits(), 3 + 140);
 }
@@ -582,7 +657,7 @@ TEST_F(OutputSourceTest, ConcurrentIdenticalColdRangesComputeEachFrameOnce) {
     threads.emplace_back([&] {
       arrived.fetch_add(1);
       while (arrived.load() < kThreads) std::this_thread::yield();
-      auto counts = source.RawCounts(range, 608);
+      auto counts = Counts(source, range, 608);
       if (!counts.ok() || *counts != want) failed.store(true);
     });
   }
@@ -604,11 +679,11 @@ TEST_F(OutputSourceTest, ExportIsIndependentOfRequestOrder) {
   FrameOutputSource forward(*dataset_, yolo_, ObjectClass::kCar);
   FrameOutputSource backward(*dataset_, yolo_, ObjectClass::kCar);
   for (const auto& [resolution, contrast] : columns) {
-    ASSERT_TRUE(forward.RawCounts(frames, resolution, contrast).ok());
+    ASSERT_TRUE(Counts(forward, frames, resolution, contrast).ok());
   }
   for (auto column = columns.rbegin(); column != columns.rend(); ++column) {
     for (auto frame = frames.rbegin(); frame != frames.rend(); ++frame) {
-      ASSERT_TRUE(backward.RawCount(*frame, column->first, column->second).ok());
+      ASSERT_TRUE(Count(backward, *frame, column->first, column->second).ok());
     }
   }
 
@@ -639,7 +714,7 @@ TEST_F(OutputSourceTest, LargeDatasetKeepsExactCountsAndAccounting) {
   FrameOutputSource source(*large, yolo_, ObjectClass::kCar);
   const std::vector<int64_t> request = {kFrames - 1, 7,       131'072, 3, 3,
                                         0,           131'071, 70'000,  7, kFrames - 1};
-  auto cold = source.RawCounts(request, 608);
+  auto cold = Counts(source, request, 608);
   ASSERT_TRUE(cold.ok());
   for (size_t i = 0; i < request.size(); ++i) {
     auto direct = yolo_.CountDetections(*large, request[i], 608, ObjectClass::kCar, 1.0);
@@ -650,7 +725,7 @@ TEST_F(OutputSourceTest, LargeDatasetKeepsExactCountsAndAccounting) {
   EXPECT_EQ(source.model_invocations(), 7);
   EXPECT_EQ(source.cache_hits(), 3);
 
-  auto warm = source.RawCounts(request, 608);
+  auto warm = Counts(source, request, 608);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(*warm, *cold);
   EXPECT_EQ(source.model_invocations(), 7);
@@ -664,7 +739,7 @@ TEST_F(OutputSourceTest, LargeDatasetKeepsExactCountsAndAccounting) {
   auto loaded = preloaded.Preload(exported);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, 7);
-  auto replay = preloaded.RawCounts(request, 608);
+  auto replay = Counts(preloaded, request, 608);
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(*replay, *cold);
   EXPECT_EQ(preloaded.model_invocations(), 0);
@@ -718,7 +793,7 @@ TEST_F(OutputSourceTest, ComputePolicyValidation) {
 TEST_F(OutputSourceTest, DefaultPolicyFailsOnFirstError) {
   FlakyDetector flaky(/*failures=*/1);
   FrameOutputSource source(*dataset_, flaky, ObjectClass::kCar);
-  EXPECT_FALSE(source.RawCounts({0, 1, 2}, 320).ok());
+  EXPECT_FALSE(Counts(source, {0, 1, 2}, 320).ok());
   EXPECT_EQ(source.compute_retries(), 0);
   EXPECT_EQ(flaky.calls(), 1);
 }
@@ -730,16 +805,16 @@ TEST_F(OutputSourceTest, FailedBatchesReleaseTheirClaims) {
   std::vector<int64_t> range(100);
   std::iota(range.begin(), range.end(), int64_t{0});
   const std::vector<int64_t> scattered = {300, 250, 250, 399};
-  auto want_range = source_->RawCounts(range, 320);
-  auto want_scattered = source_->RawCounts(scattered, 320);
+  auto want_range = Counts(*source_, range, 320);
+  auto want_scattered = Counts(*source_, scattered, 320);
   ASSERT_TRUE(want_range.ok());
   ASSERT_TRUE(want_scattered.ok());
   const OutputStore healthy = source_->ExportStore();
 
   FlakyDetector down(/*failures=*/2);
   FrameOutputSource preloaded(*dataset_, down, ObjectClass::kCar);
-  EXPECT_FALSE(preloaded.RawCounts(range, 320).ok());
-  EXPECT_FALSE(preloaded.RawCounts(scattered, 320).ok());
+  EXPECT_FALSE(Counts(preloaded, range, 320).ok());
+  EXPECT_FALSE(Counts(preloaded, scattered, 320).ok());
   EXPECT_EQ(preloaded.model_invocations(), 0);
   EXPECT_EQ(preloaded.cache_hits(), 0);
   EXPECT_EQ(preloaded.ExportStore().TotalEntries(), 0);
@@ -750,10 +825,10 @@ TEST_F(OutputSourceTest, FailedBatchesReleaseTheirClaims) {
   // A later request re-claims and computes the frames itself.
   FlakyDetector flaky(/*failures=*/2);
   FrameOutputSource source(*dataset_, flaky, ObjectClass::kCar);
-  EXPECT_FALSE(source.RawCounts(range, 320).ok());
-  EXPECT_FALSE(source.RawCounts(scattered, 320).ok());
-  auto got_range = source.RawCounts(range, 320);
-  auto got_scattered = source.RawCounts(scattered, 320);
+  EXPECT_FALSE(Counts(source, range, 320).ok());
+  EXPECT_FALSE(Counts(source, scattered, 320).ok());
+  auto got_range = Counts(source, range, 320);
+  auto got_scattered = Counts(source, scattered, 320);
   ASSERT_TRUE(got_range.ok());
   ASSERT_TRUE(got_scattered.ok());
   EXPECT_EQ(*got_range, *want_range);
@@ -771,7 +846,7 @@ TEST_F(OutputSourceTest, FailedBatchesReleaseTheirClaims) {
 TEST_F(OutputSourceTest, RetriesRecoverTransientFailuresBitIdentically) {
   std::vector<int64_t> frames(100);
   std::iota(frames.begin(), frames.end(), int64_t{0});
-  auto want = source_->RawCounts(frames, 320);  // Healthy reference.
+  auto want = Counts(*source_, frames, 320);  // Healthy reference.
   ASSERT_TRUE(want.ok());
 
   FlakyDetector flaky(/*failures=*/2);
@@ -780,7 +855,7 @@ TEST_F(OutputSourceTest, RetriesRecoverTransientFailuresBitIdentically) {
   policy.max_attempts = 3;
   ASSERT_TRUE(source.set_compute_policy(policy).ok());
 
-  auto got = source.RawCounts(frames, 320);
+  auto got = Counts(source, frames, 320);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, *want);  // A retried success is a normal success.
   EXPECT_EQ(source.compute_retries(), 2);
@@ -797,7 +872,7 @@ TEST_F(OutputSourceTest, ExhaustedRetriesReturnTheDetectorError) {
   policy.max_attempts = 3;
   ASSERT_TRUE(source.set_compute_policy(policy).ok());
 
-  auto got = source.RawCounts({0, 1, 2}, 320);
+  auto got = Counts(source, {0, 1, 2}, 320);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), util::StatusCode::kInternal);  // The real error.
   EXPECT_EQ(source.compute_retries(), 2);
@@ -812,7 +887,7 @@ TEST_F(OutputSourceTest, WatchdogForfeitsRetriesWhenBudgetIsSpent) {
   policy.batch_budget_sec = 0.0;  // Any elapsed time exceeds the budget.
   ASSERT_TRUE(source.set_compute_policy(policy).ok());
 
-  auto got = source.RawCounts({0, 1, 2}, 320);
+  auto got = Counts(source, {0, 1, 2}, 320);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), util::StatusCode::kUnavailable);
   EXPECT_EQ(source.watchdog_trips(), 1);
@@ -828,7 +903,7 @@ TEST_F(OutputSourceTest, WatchdogNeverFailsASuccess) {
   policy.max_attempts = 10;
   policy.batch_budget_sec = 0.0;
   ASSERT_TRUE(source_->set_compute_policy(policy).ok());
-  auto got = source_->RawCounts({0, 1, 2}, 320);
+  auto got = Counts(*source_, {0, 1, 2}, 320);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(source_->watchdog_trips(), 0);
 }
@@ -836,23 +911,154 @@ TEST_F(OutputSourceTest, WatchdogNeverFailsASuccess) {
 TEST_F(OutputSourceTest, RetriesWorkOnThePooledPath) {
   std::vector<int64_t> frames(300);
   std::iota(frames.begin(), frames.end(), int64_t{0});
-  auto want = source_->RawCounts(frames, 320);
+  auto want = Counts(*source_, frames, 320);
   ASSERT_TRUE(want.ok());
 
   FlakyDetector flaky(/*failures=*/3);
   util::ThreadPool pool(4);
   FrameOutputSource source(*dataset_, flaky, ObjectClass::kCar);
-  source.set_thread_pool(&pool);
-  source.set_parallel_min_misses(1);
+  source.set_thread_pool(&pool);  // 300 misses engage a 4-wide pool.
   ComputePolicy policy;
   policy.max_attempts = 5;
   ASSERT_TRUE(source.set_compute_policy(policy).ok());
 
-  auto got = source.RawCounts(frames, 320);
+  auto got = Counts(source, frames, 320);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, *want);
   EXPECT_EQ(source.compute_retries(), 3);
   EXPECT_EQ(source.model_invocations(), static_cast<int64_t>(frames.size()));
+}
+
+// Blocks its first CountBatch call until Release() and fails calls 1 to
+// `failures` with a transient error; later calls delegate to the real model.
+// Lets a test hold a request's claims in flight while another request
+// arrives.
+class GatedDetector : public detect::SimYoloV4 {
+ public:
+  explicit GatedDetector(int failures) : failures_(failures) {}
+
+  util::Status CountBatch(const video::VideoDataset& dataset,
+                          std::span<const int64_t> frame_indices, int resolution,
+                          video::ObjectClass cls, double contrast_scale,
+                          std::span<int> out) const override {
+    const int call = calls_.fetch_add(1) + 1;
+    if (call == 1) {
+      entered_.store(true);
+      while (!released_.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (call <= failures_) return util::Status::Internal("transient inference failure");
+    return detect::SimYoloV4::CountBatch(dataset, frame_indices, resolution, cls,
+                                         contrast_scale, out);
+  }
+
+  void AwaitFirstCall() const {
+    while (!entered_.load()) std::this_thread::yield();
+  }
+  void Release() { released_.store(true); }
+  int calls() const { return calls_.load(); }
+
+ private:
+  const int failures_;
+  mutable std::atomic<int> calls_{0};
+  mutable std::atomic<bool> entered_{false};
+  std::atomic<bool> released_{false};
+};
+
+// Spins until `counter` reaches `at_least`.
+void AwaitCounter(const util::Counter* counter, int64_t at_least) {
+  while (counter->Value() < at_least) std::this_thread::yield();
+}
+
+TEST_F(OutputSourceTest, WaiterReclaimsAFailedOwnersFrameUnderThePolicy) {
+  // Request A claims {5, 6, 7} and blocks inside the model; request B wants
+  // frame 6, finds it in flight and waits. A's batch then fails both its
+  // attempts and releases its claims. B claims frame 6 itself and computes
+  // it through the same compute policy: its first attempt fails and its
+  // retry succeeds.
+  util::MetricsRegistry registry;
+  GatedDetector gated(/*failures=*/3);
+  FrameOutputSource source(*dataset_, gated, ObjectClass::kCar);
+  source.set_metrics_registry(&registry);
+  ComputePolicy policy;
+  policy.max_attempts = 2;
+  ASSERT_TRUE(source.set_compute_policy(policy).ok());
+
+  util::Status a_status;
+  util::Result<std::vector<int>> b_counts = util::Status::Internal("not run");
+  std::thread a([&] { a_status = Counts(source, {5, 6, 7}, 320).status(); });
+  gated.AwaitFirstCall();
+  std::thread b([&] { b_counts = Counts(source, {6}, 320); });
+  AwaitCounter(registry.GetCounter("output_source.inflight_waits"), 1);
+  gated.Release();
+  a.join();
+  b.join();
+
+  EXPECT_FALSE(a_status.ok());
+  ASSERT_TRUE(b_counts.ok()) << b_counts.status().ToString();
+  auto direct = yolo_.CountDetections(*dataset_, 6, 320, ObjectClass::kCar, 1.0);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(*b_counts, std::vector<int>{*direct});
+  EXPECT_EQ(source.model_invocations(), 1);
+  EXPECT_EQ(source.cache_hits(), 0);
+  EXPECT_EQ(source.compute_retries(), 2);
+  EXPECT_EQ(gated.calls(), 4);
+}
+
+TEST_F(OutputSourceTest, WaiterComputesItsOwnClaimsBeforeWaiting) {
+  // Request B wants frames 6 and 20 while A holds 6 in flight. B claims and
+  // computes 20 first and only then waits; once A installs, B reads 6 as a
+  // hit. A request never waits while it holds a claim.
+  util::MetricsRegistry registry;
+  GatedDetector gated(/*failures=*/0);
+  FrameOutputSource source(*dataset_, gated, ObjectClass::kCar);
+  source.set_metrics_registry(&registry);
+
+  util::Status a_status;
+  util::Result<std::vector<int>> b_counts = util::Status::Internal("not run");
+  std::thread a([&] { a_status = Counts(source, {5, 6, 7}, 320).status(); });
+  gated.AwaitFirstCall();
+  std::thread b([&] { b_counts = Counts(source, {6, 20}, 320); });
+  AwaitCounter(registry.GetCounter("output_source.inflight_waits"), 1);
+  EXPECT_EQ(gated.calls(), 2);  // B's own claim was computed before it waited.
+  gated.Release();
+  a.join();
+  b.join();
+
+  ASSERT_TRUE(a_status.ok());
+  ASSERT_TRUE(b_counts.ok());
+  for (size_t i = 0; i < 2; ++i) {
+    const int64_t frame = i == 0 ? 6 : 20;
+    auto direct = yolo_.CountDetections(*dataset_, frame, 320, ObjectClass::kCar, 1.0);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ((*b_counts)[i], *direct) << "frame " << frame;
+  }
+  EXPECT_EQ(source.model_invocations(), 4);
+  EXPECT_EQ(source.cache_hits(), 1);
+  EXPECT_EQ(gated.calls(), 2);
+}
+
+TEST_F(OutputSourceTest, PoolEngagesAtThirtyTwoMissesPerWorker) {
+  // A 4-wide pool engages for a cold batch of 32 x 4 = 128 distinct misses,
+  // split into max_batch_size chunks; one miss fewer runs serially and never
+  // touches the pool.
+  util::MetricsRegistry registry;
+  util::ThreadPool pool(4);
+  pool.set_metrics_registry(&registry);
+  FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
+  source.set_thread_pool(&pool);
+  source.set_max_batch_size(32);
+  const util::Counter* tasks_run = registry.GetCounter("thread_pool.tasks_run");
+
+  std::vector<int64_t> below(127);
+  std::iota(below.begin(), below.end(), int64_t{0});
+  ASSERT_TRUE(Counts(source, below, 320).ok());
+  EXPECT_EQ(tasks_run->Value(), 0);
+
+  std::vector<int64_t> at(128);
+  std::iota(at.begin(), at.end(), int64_t{127});
+  ASSERT_TRUE(Counts(source, at, 320).ok());
+  EXPECT_EQ(tasks_run->Value(), 4);
+  EXPECT_EQ(source.model_invocations(), 127 + 128);
 }
 
 // ---------------------------------------------------------------------------
@@ -868,12 +1074,12 @@ TEST_F(OutputSourceTest, MetricsMirrorAccessorsSingleThreaded) {
 
   // Mixed workload: cold misses, repeat hits, a batched call with duplicates.
   for (int64_t frame = 0; frame < 40; ++frame) {
-    ASSERT_TRUE(source.RawCount(frame, 320).ok());
+    ASSERT_TRUE(Count(source, frame, 320).ok());
   }
   for (int64_t frame = 0; frame < 40; ++frame) {
-    ASSERT_TRUE(source.RawCount(frame, 320).ok());  // All hits.
+    ASSERT_TRUE(Count(source, frame, 320).ok());  // All hits.
   }
-  ASSERT_TRUE(source.RawCounts({0, 1, 1, 2, 90, 91, 90}, 608).ok());
+  ASSERT_TRUE(Counts(source, {0, 1, 1, 2, 90, 91, 90}, 608).ok());
 
   util::MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.counter("output_source.model_invocations"),
@@ -902,9 +1108,9 @@ TEST_F(OutputSourceTest, MetricsMirrorAccessorsAtEightThreads) {
     threads.emplace_back([&, t] {
       std::vector<int64_t> window(kWindow);
       std::iota(window.begin(), window.end(), t * kStride);
-      if (!source.RawCounts(window, 320).ok()) failed.store(true);
+      if (!Counts(source, window, 320).ok()) failed.store(true);
       for (int64_t frame = t * kStride; frame < t * kStride + 40; ++frame) {
-        if (!source.RawCount(frame, 320).ok()) failed.store(true);
+        if (!Count(source, frame, 320).ok()) failed.store(true);
       }
     });
   }
@@ -930,7 +1136,7 @@ TEST_F(OutputSourceTest, MetricsMirrorRetryAndWatchdogCounters) {
   ComputePolicy policy;
   policy.max_attempts = 3;
   ASSERT_TRUE(source.set_compute_policy(policy).ok());
-  ASSERT_TRUE(source.RawCounts({0, 1, 2}, 320).ok());
+  ASSERT_TRUE(Counts(source, {0, 1, 2}, 320).ok());
 
   util::MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.counter("output_source.compute_retries"), source.compute_retries());
@@ -947,7 +1153,7 @@ TEST_F(OutputSourceTest, MetricsMirrorRetryAndWatchdogCounters) {
   wd_policy.max_attempts = 10;
   wd_policy.batch_budget_sec = 0.0;
   ASSERT_TRUE(wd_source.set_compute_policy(wd_policy).ok());
-  ASSERT_FALSE(wd_source.RawCounts({0, 1, 2}, 320).ok());
+  ASSERT_FALSE(Counts(wd_source, {0, 1, 2}, 320).ok());
   EXPECT_EQ(wd_registry.Snapshot().counter("output_source.watchdog_trips"),
             wd_source.watchdog_trips());
   EXPECT_EQ(wd_source.watchdog_trips(), 1);
@@ -959,9 +1165,9 @@ TEST_F(OutputSourceTest, MetricsBatchHistogramCountsMissBatches) {
   source.set_metrics_registry(&registry);
   // Two batched calls with misses -> two observations whose sum is the total
   // number of distinct misses; a fully-hit call adds no observation.
-  ASSERT_TRUE(source.RawCounts({0, 1, 2, 3}, 320).ok());
-  ASSERT_TRUE(source.RawCounts({4, 5}, 320).ok());
-  ASSERT_TRUE(source.RawCounts({0, 1}, 320).ok());  // All hits.
+  ASSERT_TRUE(Counts(source, {0, 1, 2, 3}, 320).ok());
+  ASSERT_TRUE(Counts(source, {4, 5}, 320).ok());
+  ASSERT_TRUE(Counts(source, {0, 1}, 320).ok());  // All hits.
 
   util::MetricsSnapshot snapshot = registry.Snapshot();
   const util::HistogramSnapshot* miss_batch = nullptr;

@@ -33,6 +33,16 @@ using util::FaultEnvProfile;
 using video::ObjectClass;
 using video::ScenePreset;
 
+// Query outputs for every frame of the source's dataset.
+util::Result<std::vector<double>> AllFrameOutputs(FrameOutputSource& source,
+                                                  const QuerySpec& spec, int resolution) {
+  std::vector<int64_t> frames(static_cast<size_t>(source.dataset().num_frames()));
+  std::iota(frames.begin(), frames.end(), int64_t{0});
+  OutputColumn column;
+  SMK_RETURN_IF_ERROR(source.AppendOutputs(spec, frames, resolution, 1.0, column));
+  return std::move(column.outputs);
+}
+
 // v2 fixed-layout byte offsets (see output_store.h).
 constexpr size_t kHeaderSize = 4 + 4 + 8 + 8 + 8 + 4 + 4;
 constexpr size_t kColumnMetaSize = 4 + 4 + 8 + 8 + 4 + 4 + 4;
@@ -555,7 +565,7 @@ TEST_F(OutputStoreTest, ScrubThenRepairHealsCorruptCounts) {
   // scrub, zero invocations after a warm start.
   QuerySpec spec;
   FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
-  auto outputs = source.AllOutputs(spec, 320);
+  auto outputs = AllFrameOutputs(source, spec, 320);
   ASSERT_TRUE(outputs.ok());
   ASSERT_TRUE(source.ExportStore().Save(path_).ok());
 
@@ -591,7 +601,7 @@ TEST_F(OutputStoreTest, ScrubThenRepairHealsCorruptCounts) {
   ASSERT_TRUE(healed.ok());
   FrameOutputSource warm(*dataset_, yolo_, ObjectClass::kCar);
   ASSERT_TRUE(warm.Preload(*healed).ok());
-  auto warm_outputs = warm.AllOutputs(spec, 320);
+  auto warm_outputs = AllFrameOutputs(warm, spec, 320);
   ASSERT_TRUE(warm_outputs.ok());
   EXPECT_EQ(*warm_outputs, *outputs);
   EXPECT_EQ(warm.model_invocations(), 0);
@@ -599,7 +609,10 @@ TEST_F(OutputStoreTest, ScrubThenRepairHealsCorruptCounts) {
 
 TEST_F(OutputStoreTest, RepairOfCleanStoreIsANoOp) {
   FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
-  ASSERT_TRUE(source.RawCount(0, 320).ok());
+  const int64_t frame = 0;
+  int count = 0;
+  ASSERT_TRUE(source.FillCounts(std::span<const int64_t>(&frame, 1), 320, 1.0,
+                                std::span<int>(&count, 1)).ok());
   ASSERT_TRUE(source.ExportStore().Save(path_).ok());
   const std::vector<char> before = ReadBytes();
 
@@ -655,11 +668,11 @@ TEST_F(OutputStoreTest, RepairRejectsForeignProvenance) {
 
 TEST_F(OutputStoreTest, ExportPreloadServesWithZeroInvocations) {
   // Compute everything once, export, then a brand-new source preloads the
-  // store and must answer the same AllOutputs query with ZERO model
+  // store and must answer the same all-frames query with ZERO model
   // invocations and bit-identical outputs.
   QuerySpec spec;
   FrameOutputSource cold(*dataset_, yolo_, ObjectClass::kCar);
-  auto cold_outputs = cold.AllOutputs(spec, 320);
+  auto cold_outputs = AllFrameOutputs(cold, spec, 320);
   ASSERT_TRUE(cold_outputs.ok());
   ASSERT_EQ(cold.model_invocations(), dataset_->num_frames());
   ASSERT_TRUE(cold.ExportStore().Save(path_).ok());
@@ -674,7 +687,7 @@ TEST_F(OutputStoreTest, ExportPreloadServesWithZeroInvocations) {
   EXPECT_EQ(warm.model_invocations(), 0);
   EXPECT_EQ(warm.cache_hits(), 0);
 
-  auto warm_outputs = warm.AllOutputs(spec, 320);
+  auto warm_outputs = AllFrameOutputs(warm, spec, 320);
   ASSERT_TRUE(warm_outputs.ok());
   EXPECT_EQ(*warm_outputs, *cold_outputs);
   EXPECT_EQ(warm.model_invocations(), 0);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
+#include <vector>
 
 #include "detect/models.h"
 #include "query/aggregate.h"
@@ -15,6 +17,25 @@ namespace {
 
 using video::ObjectClass;
 using video::ScenePreset;
+
+// The raw count of one frame through a single-frame FillCounts.
+util::Result<int> Count(FrameOutputSource& source, int64_t frame, int resolution,
+                        double contrast_scale = 1.0) {
+  int out = 0;
+  SMK_RETURN_IF_ERROR(source.FillCounts(std::span<const int64_t>(&frame, 1), resolution,
+                                        contrast_scale, std::span<int>(&out, 1)));
+  return out;
+}
+
+// Query outputs for every frame of the source's dataset.
+util::Result<std::vector<double>> AllFrameOutputs(FrameOutputSource& source,
+                                                  const QuerySpec& spec, int resolution) {
+  std::vector<int64_t> frames(static_cast<size_t>(source.dataset().num_frames()));
+  std::iota(frames.begin(), frames.end(), int64_t{0});
+  OutputColumn column;
+  SMK_RETURN_IF_ERROR(source.AppendOutputs(spec, frames, resolution, 1.0, column));
+  return std::move(column.outputs);
+}
 
 TEST(AggregateTest, NamesRoundTrip) {
   for (auto fn : {AggregateFunction::kAvg, AggregateFunction::kSum, AggregateFunction::kCount,
@@ -117,22 +138,21 @@ class OutputSourceTest : public ::testing::Test {
 };
 
 TEST_F(OutputSourceTest, CountsInvocationsAndCacheHits) {
-  source_->ResetCounters();
-  ASSERT_TRUE(source_->RawCount(0, 320).ok());
+  ASSERT_TRUE(Count(*source_, 0, 320).ok());
   EXPECT_EQ(source_->model_invocations(), 1);
   EXPECT_EQ(source_->cache_hits(), 0);
-  ASSERT_TRUE(source_->RawCount(0, 320).ok());
+  ASSERT_TRUE(Count(*source_, 0, 320).ok());
   EXPECT_EQ(source_->model_invocations(), 1);
   EXPECT_EQ(source_->cache_hits(), 1);
   // Different resolution misses.
-  ASSERT_TRUE(source_->RawCount(0, 416).ok());
+  ASSERT_TRUE(Count(*source_, 0, 416).ok());
   EXPECT_EQ(source_->model_invocations(), 2);
 }
 
 TEST_F(OutputSourceTest, CachedValueMatchesDetector) {
-  auto first = source_->RawCount(7, 320);
+  auto first = Count(*source_, 7, 320);
   auto direct = yolo_.CountDetections(*dataset_, 7, 320, ObjectClass::kCar, 1.0);
-  auto again = source_->RawCount(7, 320);
+  auto again = Count(*source_, 7, 320);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(again.ok());
@@ -144,24 +164,25 @@ TEST_F(OutputSourceTest, OutputsRespectQueryTransform) {
   QuerySpec count;
   count.aggregate = AggregateFunction::kCount;
   count.count_threshold = 1;
-  auto outputs = source_->Outputs(count, {0, 1, 2, 3, 4}, 608);
-  ASSERT_TRUE(outputs.ok());
-  for (double v : *outputs) {
+  OutputColumn column;
+  ASSERT_TRUE(source_->AppendOutputs(count, std::vector<int64_t>{0, 1, 2, 3, 4}, 608, 1.0,
+                                     column).ok());
+  ASSERT_EQ(column.size(), 5u);
+  for (double v : column.outputs) {
     EXPECT_TRUE(v == 0.0 || v == 1.0);
   }
 }
 
 TEST_F(OutputSourceTest, AllOutputsCoversDataset) {
   QuerySpec avg;
-  auto outputs = source_->AllOutputs(avg, 608);
+  auto outputs = AllFrameOutputs(*source_, avg, 608);
   ASSERT_TRUE(outputs.ok());
   EXPECT_EQ(outputs->size(), static_cast<size_t>(dataset_->num_frames()));
 }
 
 TEST_F(OutputSourceTest, ContrastScaleChangesCacheKey) {
-  source_->ResetCounters();
-  ASSERT_TRUE(source_->RawCount(0, 320, 1.0).ok());
-  ASSERT_TRUE(source_->RawCount(0, 320, 0.5).ok());
+  ASSERT_TRUE(Count(*source_, 0, 320, 1.0).ok());
+  ASSERT_TRUE(Count(*source_, 0, 320, 0.5).ok());
   EXPECT_EQ(source_->model_invocations(), 2);
 }
 
@@ -177,7 +198,7 @@ TEST_F(OutputSourceTest, SkippingScanCoversDatasetAndSaves) {
   EXPECT_EQ(fresh.model_invocations() + scan->skipped, dataset_->num_frames());
   // Skipped outputs exactly reproduce the exact scan wherever the target
   // track set was unchanged; overall deviation must be small.
-  auto exact = fresh.AllOutputs(avg, 608);
+  auto exact = AllFrameOutputs(fresh, avg, 608);
   ASSERT_TRUE(exact.ok());
   double sum_exact = 0, sum_skipped = 0;
   for (size_t i = 0; i < exact->size(); ++i) {
