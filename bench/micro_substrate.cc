@@ -82,7 +82,14 @@ void BM_SampleWithoutReplacement(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SampleWithoutReplacement)->Arg(100)->Arg(10000);
+// 30,000 is a 1M-frame correction set (3%), 50,000 the smallest 1M-frame
+// profile fraction (5%), and 1,000,000 the correction sizing's permutation.
+BENCHMARK(BM_SampleWithoutReplacement)
+    ->Arg(100)
+    ->Arg(10000)
+    ->Arg(30000)
+    ->Arg(50000)
+    ->Arg(1000000);
 
 }  // namespace
 

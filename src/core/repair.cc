@@ -80,6 +80,9 @@ Result<CorrectionSizing> DetermineCorrectionSetSize(query::FrameOutputSource& so
     return Status::InvalidArgument("max_fraction must be in (0, 1]");
   }
   int64_t population = source.dataset().num_frames();
+  if (population <= 0) {
+    return Status::InvalidArgument("correction sizing needs at least one frame");
+  }
   // Grow along a fixed random permutation so each step's outputs subsume the
   // previous step's (prefixes of a permutation are uniform without-
   // replacement samples, and the output cache turns growth into pure reuse).

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_map>
+#include <utility>
 
 namespace smokescreen {
 namespace stats {
@@ -19,21 +19,19 @@ Result<std::vector<int64_t>> SampleWithoutReplacement(int64_t population, int64_
     return Status::InvalidArgument("sample size " + std::to_string(n) +
                                    " exceeds population " + std::to_string(population));
   }
-  std::vector<int64_t> out;
-  out.reserve(static_cast<size_t>(n));
-  // Sparse partial Fisher–Yates: O(n) time/space even for huge populations.
-  std::unordered_map<int64_t, int64_t> swapped;
-  swapped.reserve(static_cast<size_t>(n) * 2);
+  // Dense partial Fisher–Yates: draw i swaps slot i with a uniform slot of
+  // [i, population), so the first n slots end up holding the sample.
+  std::vector<int64_t> pool(static_cast<size_t>(population));
+  std::iota(pool.begin(), pool.end(), int64_t{0});
   for (int64_t i = 0; i < n; ++i) {
-    int64_t j = i + static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(population - i)));
-    auto it_j = swapped.find(j);
-    int64_t value_j = it_j == swapped.end() ? j : it_j->second;
-    auto it_i = swapped.find(i);
-    int64_t value_i = it_i == swapped.end() ? i : it_i->second;
-    swapped[j] = value_i;
-    out.push_back(value_j);
+    const int64_t j =
+        i + static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(population - i)));
+    std::swap(pool[static_cast<size_t>(i)], pool[static_cast<size_t>(j)]);
   }
-  return out;
+  // Keep n values, not the population-sized pool (a no-op when n == N).
+  pool.resize(static_cast<size_t>(n));
+  pool.shrink_to_fit();
+  return pool;
 }
 
 Result<std::vector<int64_t>> SampleWithoutReplacementSorted(int64_t population, int64_t n,

@@ -16,6 +16,15 @@ namespace stats {
 
 /// Draws `n` distinct indices uniformly from [0, population), unsorted
 /// (in draw order). Error if n > population.
+///
+/// A dense partial Fisher–Yates over an iota pool of the whole population:
+/// draw i swaps slot i with slot j = i + rng.NextBounded(population - i),
+/// so the call makes exactly `n` draws. Time and transient memory are
+/// O(population) whatever `n` is; the returned vector holds (and has
+/// capacity for) only the `n` values. Every profile depends on this draw
+/// order: the correction set's sizing permutation and its frames come from
+/// it, so a change to the sequence of draws or to how a draw maps to an
+/// index changes profiles.
 util::Result<std::vector<int64_t>> SampleWithoutReplacement(int64_t population, int64_t n,
                                                             Rng& rng);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "core/candidate_design.h"
 #include "core/tradeoff.h"
 #include "detect/models.h"
@@ -327,6 +330,77 @@ TEST_F(ProfilerTest, ChooseTradeoffFailsWhenNothingMeetsThreshold) {
   profile.points.push_back(point);
   EXPECT_FALSE(ChooseTradeoff(profile, 0.1, 608).ok());
   EXPECT_FALSE(ChooseTradeoff(profile, -0.1, 608).ok());
+}
+
+// FNV-1a over the bytes of every field of every point, in profile order.
+uint64_t ProfileDigest(const Profile& profile) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  auto add = [&hash](const auto& value) {
+    unsigned char bytes[sizeof(value)];
+    std::memcpy(bytes, &value, sizeof(value));
+    for (unsigned char b : bytes) hash = (hash ^ b) * 0x100000001b3ULL;
+  };
+  for (const ProfilePoint& p : profile.points) {
+    add(p.interventions.sample_fraction);
+    add(p.interventions.resolution);
+    add(p.interventions.restricted.mask());
+    add(p.interventions.contrast_scale);
+    add(p.err_bound);
+    add(p.err_uncorrected);
+    add(p.y_approx);
+    add(p.repaired);
+    add(p.sample_size);
+  }
+  return hash;
+}
+
+TEST(PinnedProfileTest, PaperScaleUaDetracProfilesArePinned) {
+  // The full 15,210-frame UA-DETRAC corpus on the 200-candidate grid of the
+  // profile-request benchmark, with the automatically sized correction set
+  // and no early stop. Any change that moves a sampled frame, an estimate,
+  // a bound or the model-invocation bill moves these constants.
+  auto ds = video::MakePreset(ScenePreset::kUaDetrac);
+  ASSERT_TRUE(ds.ok());
+  ASSERT_EQ(ds->num_frames(), 15210);
+  detect::SimYoloV4 yolo;
+  detect::SimMtcnn mtcnn;
+  auto prior = detect::ClassPriorIndex::Build(*ds, yolo, mtcnn);
+  ASSERT_TRUE(prior.ok());
+  CandidateGridOptions grid_options;
+  grid_options.min_fraction = 0.05;
+  grid_options.max_fraction = 0.50;
+  grid_options.fraction_step = 0.05;
+  grid_options.num_resolutions = 5;
+  auto grid = BuildCandidateGrid(yolo, grid_options);
+  ASSERT_TRUE(grid.ok());
+  ASSERT_EQ(grid->size(), 200u);
+
+  struct Pinned {
+    query::AggregateFunction aggregate;
+    uint64_t digest;
+    int64_t model_invocations;
+  };
+  const Pinned kPinned[] = {
+      {query::AggregateFunction::kAvg, 0x1f18068d6404f57bULL, 63560},
+      {query::AggregateFunction::kMax, 0xdca16418dbc6beacULL, 63367},
+  };
+  for (const Pinned& pinned : kPinned) {
+    query::QuerySpec spec;
+    spec.aggregate = pinned.aggregate;
+    SCOPED_TRACE(spec.ToString());
+    query::FrameOutputSource source(*ds, yolo, ObjectClass::kCar);
+    ProfilerOptions options;
+    options.use_correction_set = true;
+    options.early_stop = false;
+    options.num_threads = 2;
+    Profiler profiler(source, *prior, spec, options);
+    stats::Rng rng(1);
+    auto profile = profiler.Generate(*grid, rng);
+    ASSERT_TRUE(profile.ok());
+    ASSERT_EQ(profile->points.size(), 200u);
+    EXPECT_EQ(ProfileDigest(*profile), pinned.digest);
+    EXPECT_EQ(profiler.last_report().model_invocations, pinned.model_invocations);
+  }
 }
 
 TEST(TradeoffHelpersTest, MinimalKnobMeetingThreshold) {

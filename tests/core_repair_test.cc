@@ -185,6 +185,19 @@ TEST_F(RepairTest, SizingRejectsBadCap) {
   EXPECT_FALSE(DetermineCorrectionSetSize(*source_, AvgSpec(), 0.05, rng, 1.5).ok());
 }
 
+TEST_F(RepairTest, SizingRejectsZeroFrameVideoBeforeDrawing) {
+  // The sizing step is at least one frame; on an empty video it must not
+  // read a one-frame prefix of an empty permutation.
+  video::VideoDataset empty("empty", 99, 608, 30.0, {}, {});
+  query::FrameOutputSource source(empty, yolo_, ObjectClass::kCar);
+  stats::Rng rng(10);
+  stats::Rng untouched = rng;
+  auto sizing = DetermineCorrectionSetSize(source, AvgSpec(), 0.05, rng);
+  EXPECT_EQ(sizing.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(rng.NextUint64(), untouched.NextUint64());
+  EXPECT_EQ(source.model_invocations(), 0);
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace smokescreen

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "detect/class_prior_index.h"
 #include "detect/models.h"
 #include "engine/profile_cache.h"
 #include "engine/runtime.h"
@@ -336,6 +337,34 @@ TEST(EngineRuntimeTest, WorkloadStoreRoundTripAndBadDirectoryFailsEarly) {
   auto workload = (*runtime)->GetWorkload(bad);
   ASSERT_FALSE(workload.ok());
   EXPECT_EQ(workload.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(EngineRuntimeTest, ProfileOfZeroFrameWorkloadIsInvalidArgument) {
+  // An adopted workload may hold no frames. Profiling it with the default,
+  // automatically sized correction set must fail cleanly, not crash.
+  auto runtime = Runtime::Create(RuntimeOptions{});
+  ASSERT_TRUE(runtime.ok());
+  auto dataset = std::make_unique<video::VideoDataset>(
+      "empty", 99, 608, 30.0, std::vector<video::Frame>{}, std::vector<video::SequenceInfo>{});
+  auto detector = std::make_unique<detect::SimYoloV4>();
+  detect::SimMtcnn mtcnn;
+  auto prior = detect::ClassPriorIndex::Build(*dataset, *detector, mtcnn);
+  ASSERT_TRUE(prior.ok());
+  auto workload = (*runtime)->AdoptWorkload(
+      "empty", std::move(dataset), std::move(detector),
+      std::make_unique<detect::ClassPriorIndex>(std::move(prior).ValueOrDie()),
+      video::ObjectClass::kCar);
+  ASSERT_TRUE(workload.ok());
+  SessionConfig config;
+  config.spec.aggregate = query::AggregateFunction::kAvg;
+  config.seed = 1;
+  ASSERT_TRUE(config.profiler.use_correction_set);
+  ASSERT_EQ(config.profiler.correction_set_size, 0);
+  auto session = (*runtime)->StartSession(*workload, config);
+  ASSERT_TRUE(session.ok());
+  auto profile = (*session)->Profile(SmallGrid());
+  EXPECT_EQ(profile.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ((*workload)->source().model_invocations(), 0);
 }
 
 TEST(EngineRuntimeTest, SaveStoreIsTimedInTheInjectedRegistry) {

@@ -4,11 +4,81 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace smokescreen {
 namespace stats {
 namespace {
+
+// The sparse partial Fisher–Yates that SampleWithoutReplacement used before
+// its dense pool: the same draws, j = i + NextBounded(population - i), with
+// the displaced slots kept in a hash map. Kept here as the reference for the
+// draw order every profile depends on.
+std::vector<int64_t> SparseReferenceSample(int64_t population, int64_t n, Rng& rng) {
+  std::vector<int64_t> out;
+  out.reserve(static_cast<size_t>(n));
+  std::unordered_map<int64_t, int64_t> swapped;
+  swapped.reserve(static_cast<size_t>(n) * 2);
+  for (int64_t i = 0; i < n; ++i) {
+    int64_t j = i + static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(population - i)));
+    auto it_j = swapped.find(j);
+    int64_t value_j = it_j == swapped.end() ? j : it_j->second;
+    auto it_i = swapped.find(i);
+    int64_t value_i = it_i == swapped.end() ? i : it_i->second;
+    swapped[j] = value_i;
+    out.push_back(value_j);
+  }
+  return out;
+}
+
+// FNV-1a over the little-endian bytes of each value, in order.
+uint64_t Fnv1a(const std::vector<int64_t>& values) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (int64_t value : values) {
+    const auto word = static_cast<uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(SampleWithoutReplacementTest, MatchesSparseReferenceDrawForDraw) {
+  for (int64_t population : {1, 2, 63, 64, 65, 15210, 200000}) {
+    for (int64_t n : {int64_t{0}, int64_t{1}, population / 100, population / 2, population - 1,
+                      population}) {
+      SCOPED_TRACE("population " + std::to_string(population) + ", n " + std::to_string(n));
+      Rng rng(static_cast<uint64_t>(population * 7 + n));
+      Rng reference_rng = rng;
+      auto result = SampleWithoutReplacement(population, n, rng);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(*result, SparseReferenceSample(population, n, reference_rng));
+      // Same number of draws: the caller's stream continues identically.
+      EXPECT_EQ(rng.NextUint64(), reference_rng.NextUint64());
+    }
+  }
+}
+
+TEST(SampleWithoutReplacementTest, FullPermutationOfOneMillionIsPinned) {
+  // Frozen from the sparse implementation, so the contract does not rest
+  // only on a reference that lives beside the code it checks.
+  Rng rng(1);
+  auto result = SampleWithoutReplacement(1'000'000, 1'000'000, rng);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->size(), 1'000'000u);
+  EXPECT_EQ(Fnv1a(*result), 0xcfc50c9ac9610f51ULL);
+}
+
+TEST(SampleWithoutReplacementTest, ResultHoldsOnlyTheSample) {
+  Rng rng(13);
+  auto result = SampleWithoutReplacement(1'000'000, 30, rng);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->size(), 30u);
+  EXPECT_EQ(result->capacity(), 30u);
+}
 
 TEST(SampleWithoutReplacementTest, ProducesDistinctIndicesInRange) {
   Rng rng(1);
