@@ -44,6 +44,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -109,6 +110,10 @@ int main(int argc, char** argv) {
     }
   }
   if (repeats < 1) repeats = 1;
+  if (threads < 0 || threads > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "--threads must be in [0, 2147483647] (0 = hardware concurrency)\n");
+    return 2;
+  }
 
   util::ThreadPool pool(static_cast<int>(threads));
   // Below 32 misses per worker the source computes a cold batch serially,

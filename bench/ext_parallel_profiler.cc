@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -109,6 +110,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-threads") {
       int64_t t = 0;
       next_int(&t);
+      if (t < 1 || t > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "--max-threads must be in [1, 2147483647]\n");
+        return 2;
+      }
       max_threads = static_cast<int>(t);
     } else {
       std::fprintf(stderr,

@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #include "bench/bench_common.h"
 #include "stats/sampling.h"
@@ -41,6 +42,10 @@ int main(int argc, char** argv) {
     if (arg == "--threads" && i + 1 < argc) {
       auto parsed = util::ParseInt(argv[++i]);
       parsed.status().CheckOk();
+      if (*parsed < 0 || *parsed > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "--threads must be in [0, 2147483647] (0 = hardware concurrency)\n");
+        return 2;
+      }
       threads = static_cast<int>(*parsed);
     } else if (arg == "--batch-size" && i + 1 < argc) {
       auto parsed = util::ParseInt(argv[++i]);

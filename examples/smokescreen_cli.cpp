@@ -47,6 +47,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -113,6 +114,10 @@ util::Result<Flags> ParseFlags(int argc, char** argv) {
     } else if (arg == "--threads") {
       SMK_ASSIGN_OR_RETURN(std::string v, next());
       SMK_ASSIGN_OR_RETURN(int64_t threads, util::ParseInt(v));
+      if (threads < 0 || threads > std::numeric_limits<int>::max()) {
+        return util::Status::InvalidArgument(
+            "--threads must be in [0, 2147483647] (0 = hardware concurrency)");
+      }
       flags.threads = static_cast<int>(threads);
     } else if (arg == "--batch-size") {
       SMK_ASSIGN_OR_RETURN(std::string v, next());
@@ -123,8 +128,8 @@ util::Result<Flags> ParseFlags(int argc, char** argv) {
     } else if (arg == "--clients") {
       SMK_ASSIGN_OR_RETURN(std::string v, next());
       SMK_ASSIGN_OR_RETURN(int64_t clients, util::ParseInt(v));
-      if (clients < 1) {
-        return util::Status::InvalidArgument("--clients must be >= 1");
+      if (clients < 1 || clients > std::numeric_limits<int>::max()) {
+        return util::Status::InvalidArgument("--clients must be in [1, 2147483647]");
       }
       flags.clients = static_cast<int>(clients);
     } else if (arg == "--output-store") {

@@ -87,10 +87,6 @@ struct OutputColumn {
   std::vector<int> counts;
   std::vector<double> outputs;
 
-  void Clear() {
-    counts.clear();
-    outputs.clear();
-  }
   size_t size() const { return outputs.size(); }
   std::span<const double> output_span() const { return outputs; }
   std::span<const double> output_prefix(size_t n) const {
@@ -151,18 +147,17 @@ class FrameOutputSource {
   /// means unlimited. Results are identical at every setting — this is a
   /// cost/latency knob (and the sweep axis of bench/ext_batched_throughput).
   void set_max_batch_size(int64_t max_batch_size) { max_batch_size_ = max_batch_size; }
-  int64_t max_batch_size() const { return max_batch_size_; }
 
   /// Intra-batch parallelism: when set, a cold miss-batch of at least 32
   /// distinct keys per pool worker is dispatched as a bulk
-  /// ThreadPool::ParallelFor over contiguous chunks of min(max_batch_size()
-  /// or the miss count, 1024) frames (one Detector::CountBatch per chunk,
-  /// each writing a disjoint slice), so one large cold request saturates
-  /// cores even from a single-threaded caller; smaller batches run serially,
-  /// where dispatch overhead would beat the win. Results and invocation
-  /// accounting are IDENTICAL to the serial path at every thread count:
-  /// chunk boundaries are a pure function of the miss count and
-  /// max_batch_size() — NEVER of the worker count or scheduling — each
+  /// ThreadPool::ParallelFor over contiguous chunks of min(the
+  /// set_max_batch_size cap or the miss count, 1024) frames (one
+  /// Detector::CountBatch per chunk, each writing a disjoint slice), so one
+  /// large cold request saturates cores even from a single-threaded caller;
+  /// smaller batches run serially, where dispatch overhead would beat the
+  /// win. Results and invocation accounting are IDENTICAL to the serial path
+  /// at every thread count: chunk boundaries are a pure function of the miss
+  /// count and that cap — NEVER of the worker count or scheduling — each
   /// frame's count is a pure function of its key, claims are still made
   /// exactly once before dispatch, and the batch still tallies one
   /// invocation per distinct key. The pool is borrowed,
@@ -172,7 +167,6 @@ class FrameOutputSource {
   /// one executor between sessions, the profiler and this source). nullptr
   /// (the default) restores the serial path.
   void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* thread_pool() const { return pool_; }
 
   /// Retry/watchdog policy applied to every CountBatch invocation (serial
   /// and pooled paths alike). InvalidArgument on a malformed policy; the
@@ -181,7 +175,6 @@ class FrameOutputSource {
   /// is bit-identical to a first-attempt success and the invocation
   /// counters still tally one invocation per distinct computed key.
   util::Status set_compute_policy(const ComputePolicy& policy);
-  const ComputePolicy& compute_policy() const { return compute_policy_; }
 
   /// CountBatch attempts beyond the first that the retry policy spent.
   int64_t compute_retries() const { return compute_retries_.load(std::memory_order_relaxed); }

@@ -219,9 +219,10 @@ TEST_F(ParallelProfilerTest, WarmOutputStoreRunBitIdenticalWithZeroInvocations) 
 }
 
 TEST_F(ParallelProfilerTest, BitIdenticalAcrossTheFullWidthSweep) {
-  // The work-stealing executor hands hypercube groups out as ParallelFor
-  // chunks; steal order varies wildly with width, so the sweep — including
-  // widths past the machine's core count — pins scheduling independence.
+  // The executor hands hypercube groups out as ParallelFor chunks; which
+  // thread claims which group varies wildly with width, so the sweep —
+  // including widths past the machine's core count — pins scheduling
+  // independence.
   auto reference = RunGenerate(1, 93, /*correction=*/false);
   ASSERT_TRUE(reference.ok());
   for (int threads : {2, 3, 8, 16}) {

@@ -25,84 +25,109 @@ TEST(ThreadPoolTest, ResolveThreadCount) {
   EXPECT_GE(ThreadPool::ResolveThreadCount(-3), 1);
 }
 
+/// Spins until `count` is positive or 5 s pass. Called from a chunk on the
+/// calling thread, it holds that chunk open until a worker has taken one.
+void AwaitPositive(const std::atomic<int>& count) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (count.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
 TEST(ThreadPoolTest, SingleThreadRunsInline) {
+  // A width-1 pool starts no worker: ParallelFor runs the chunk loop on the
+  // calling thread, serially and in chunk order, before it returns.
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1);
-  int value = 0;
-  pool.Submit([&value] { value = 42; });
-  // Inline mode: the task already ran, before any Wait().
-  EXPECT_EQ(value, 42);
-  pool.Wait();  // Must be a no-op, not a deadlock.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::pair<int64_t, int64_t>> chunks;  // Plain: single-threaded by contract.
+  pool.ParallelFor(3, 40, 8, [&](int64_t begin, int64_t end) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    chunks.emplace_back(begin, end);
+  });
+  const std::vector<std::pair<int64_t, int64_t>> expected = {
+      {3, 11}, {11, 19}, {19, 27}, {27, 35}, {35, 40}};
+  EXPECT_EQ(chunks, expected);
 }
 
 TEST(ThreadPoolTest, RunsEveryTask) {
+  // Several threads outside the pool call ParallelFor on it at once, as the
+  // serving layer's sessions do. Their helper tokens share one queue, yet
+  // each call returns only once its own range has run, and runs no chunk of
+  // another call.
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+  constexpr int kCallers = 4;
+  constexpr int kCalls = 50;
+  constexpr int64_t kRange = 64;
+  std::atomic<int64_t> total{0};
+  std::atomic<int> wrong_calls{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &total, &wrong_calls] {
+      for (int call = 0; call < kCalls; ++call) {
+        std::atomic<int64_t> covered{0};
+        pool.ParallelFor(0, kRange, 4, [&covered](int64_t begin, int64_t end) {
+          covered.fetch_add(end - begin);
+        });
+        if (covered.load() != kRange) wrong_calls.fetch_add(1);
+        total.fetch_add(covered.load());
+      }
+    });
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(wrong_calls.load(), 0);
+  EXPECT_EQ(total.load(), kCallers * kCalls * kRange);
 }
 
 TEST(ThreadPoolTest, WaitBlocksUntilTasksFinish) {
+  // ParallelFor must wait for chunks still running on workers, not only for
+  // the last chunk to be claimed. The caller holds its first chunk until a
+  // worker has one, and a worker's chunks finish 5 ms after they start, so
+  // the caller runs out of chunks while a worker's is still in flight.
   ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> worker_chunks{0};
   std::atomic<int> done{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&done] {
+  pool.ParallelFor(0, 8, 1, [&](int64_t, int64_t) {
+    if (std::this_thread::get_id() == caller) {
+      AwaitPositive(worker_chunks);
+    } else {
+      worker_chunks.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      done.fetch_add(1);
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 8);
-}
-
-TEST(ThreadPoolTest, ReusableAcrossWaves) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int wave = 0; wave < 3; ++wave) {
-    for (int i = 0; i < 10; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
     }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), (wave + 1) * 10);
-  }
+    done.fetch_add(1);
+  });
+  EXPECT_EQ(done.load(), 8);
+  EXPECT_GT(worker_chunks.load(), 0);
 }
 
 TEST(ThreadPoolTest, TasksWriteToOwnSlots) {
-  // The profiler's usage pattern: each task owns one pre-sized slot, results
-  // are read after Wait() in canonical order.
+  // The profiler's usage pattern: each chunk writes its own slots of a
+  // pre-sized plain vector, and the caller reads them in canonical order
+  // once ParallelFor returns. The caller holds its first chunk until a
+  // worker has one, so some slots are always written on another thread.
   ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> worker_chunks{0};
   std::vector<int> slots(64, 0);
-  for (size_t i = 0; i < slots.size(); ++i) {
-    pool.Submit([&slots, i] { slots[i] = static_cast<int>(i) + 1; });
-  }
-  pool.Wait();
-  for (size_t i = 0; i < slots.size(); ++i) {
-    EXPECT_EQ(slots[i], static_cast<int>(i) + 1);
-  }
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        counter.fetch_add(1);
-      });
+  pool.ParallelFor(0, static_cast<int64_t>(slots.size()), 4, [&](int64_t begin, int64_t end) {
+    if (std::this_thread::get_id() == caller) {
+      AwaitPositive(worker_chunks);
+    } else {
+      worker_chunks.fetch_add(1);
     }
-    // No Wait(): destruction must still run every queued task.
+    for (int64_t i = begin; i < end; ++i) slots[static_cast<size_t>(i)] = static_cast<int>(i) + 1;
+  });
+  EXPECT_GT(worker_chunks.load(), 0);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(slots[i], static_cast<int>(i) + 1) << "slot " << i;
   }
-  EXPECT_EQ(counter.load(), 20);
 }
 
 // ---------------------------------------------------------------------------
-// Bulk ParallelFor: coverage, chunk determinism, nesting, and the
-// work-stealing/parking machinery under hostile schedules.
+// Bulk ParallelFor: coverage, chunk determinism, nesting, and the queue and
+// parking machinery under hostile schedules.
 // ---------------------------------------------------------------------------
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
@@ -119,7 +144,7 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
 
 TEST(ParallelForTest, ChunkBoundariesAreAPureFunctionOfTheArguments) {
   // The chunk partition [first + k*min_chunk, ...) must depend only on
-  // (first, last, min_chunk) — NEVER on worker count or steal order. This is
+  // (first, last, min_chunk) — NEVER on worker count or claim order. This is
   // what lets chunked miss-batches stay bit-identical across pool widths.
   constexpr int64_t kFirst = 5, kLast = 998, kChunk = 64;
   std::set<std::pair<int64_t, int64_t>> expected;
@@ -156,27 +181,38 @@ TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {
   // makes it safe to hand one shared executor to both the profiler and the
   // output source underneath it.
   ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> worker_chunks{0};
   std::atomic<int64_t> total{0};
   pool.ParallelFor(0, 8, 1, [&](int64_t begin, int64_t end) {
+    const std::thread::id outer = std::this_thread::get_id();
+    if (outer == caller) {
+      // Hold the caller's chunk until a worker has one, so the inline check
+      // below runs at least once.
+      AwaitPositive(worker_chunks);
+    } else {
+      worker_chunks.fetch_add(1);
+    }
     for (int64_t i = begin; i < end; ++i) {
-      const bool on_worker = pool.OnWorkerThread();
       pool.ParallelFor(0, 100, 10, [&](int64_t b, int64_t e) {
-        if (on_worker) {
-          // Inline mode: the nested body stays on the outer body's thread.
-          EXPECT_TRUE(pool.OnWorkerThread());
+        // A worker runs its nested loop on its own thread. The caller is no
+        // worker, so its nested chunks may run anywhere.
+        if (outer != caller) {
+          EXPECT_EQ(std::this_thread::get_id(), outer);
         }
         total.fetch_add(e - b);
       });
     }
   });
+  EXPECT_GT(worker_chunks.load(), 0);
   EXPECT_EQ(total.load(), 8 * 100);
 }
 
 TEST(ParallelForTest, SkewedWorkloadCompletesViaStealing) {
   // Chunk 0 is three orders of magnitude slower than the rest. With
-  // min_chunk 1 every index is a separate stealable chunk, so the other
-  // workers must drain the remainder while one is stuck — the loop still
-  // returns only when ALL indices ran.
+  // min_chunk 1 every index is a separate chunk, so the other threads must
+  // claim the remainder while one is stuck — the loop still returns only
+  // when ALL indices ran.
   ThreadPool pool(4);
   constexpr int64_t kN = 2000;
   std::vector<std::atomic<int>> hits(kN);
@@ -191,75 +227,82 @@ TEST(ParallelForTest, SkewedWorkloadCompletesViaStealing) {
   }
 }
 
-TEST(ThreadPoolTest, WorkerSubmittedTasksAreStealableAndDrainOnWait) {
-  // A submitted task fans out more tasks from the worker thread (they land
-  // in that worker's own deque, so peers must steal them). Wait() must cover
-  // transitively-spawned work, not just the externally injected root.
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  constexpr int kFanout = 500;
-  pool.Submit([&pool, &counter] {
-    for (int i = 0; i < kFanout; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-  });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), kFanout);
-}
-
 TEST(ThreadPoolTest, ParkUnparkChurnKeepsExactCounts) {
   // Waves separated by idle gaps long enough for workers to spin out and
-  // park; every wave must wake them and lose no task.
+  // park; every wave must wake them and lose no chunk.
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   int expected = 0;
   for (int wave = 0; wave < 40; ++wave) {
-    const int burst = 1 + (wave % 7);
-    for (int i = 0; i < burst; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    expected += burst;
     pool.ParallelFor(0, 64, 8, [&counter](int64_t begin, int64_t end) {
       counter.fetch_add(static_cast<int>(end - begin));
     });
     expected += 64;
-    pool.Wait();
     ASSERT_EQ(counter.load(), expected) << "wave " << wave;
     if (wave % 8 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 }
 
-TEST(ThreadPoolTest, SingleSubmitAfterQuiescenceAlwaysWakes) {
-  // Regression for the park-path store-load ordering (a Dekker pattern): the
-  // producer bumps work_signal_ THEN reads num_parked_; the parker increments
-  // num_parked_ THEN re-reads the signal. With acquire/release alone both
-  // sides may read the stale value on weakly-ordered hardware — the producer
-  // skips the notify while the worker parks anyway, and with exactly one
-  // task in flight there is no second producer to recover: Wait() hangs.
-  // All four accesses are seq_cst now; this test hammers precisely that
-  // window — full quiescence (workers parked), then ONE Submit.
+TEST(ThreadPoolTest, ReusableAcrossWaves) {
+  // One pool serves calls of every shape in turn: bulk, single-chunk (run
+  // inline), empty, and offset into negative indices. Each call has run,
+  // and counted, every chunk of its range by the time it returns.
+  MetricsRegistry registry;
+  ThreadPool pool(3);
+  pool.set_metrics_registry(&registry);
+  struct Shape {
+    int64_t first, last, chunk;
+  };
+  const std::vector<Shape> shapes = {{0, 64, 8}, {0, 5, 10}, {7, 7, 1}, {-40, 61, 3}, {0, 1, 1}};
+  std::atomic<int64_t> covered{0};
+  int64_t expected_covered = 0;
+  int64_t expected_chunks = 0;
+  for (int wave = 0; wave < 15; ++wave) {
+    const Shape& s = shapes[static_cast<size_t>(wave) % shapes.size()];
+    pool.ParallelFor(s.first, s.last, s.chunk, [&covered](int64_t begin, int64_t end) {
+      covered.fetch_add(end - begin);
+    });
+    const int64_t n = s.last - s.first;
+    expected_covered += n;
+    expected_chunks += (n + s.chunk - 1) / s.chunk;
+    ASSERT_EQ(covered.load(), expected_covered) << "wave " << wave;
+    ASSERT_EQ(registry.Snapshot().counter("thread_pool.tasks_run"), expected_chunks)
+        << "wave " << wave;
+  }
+}
+
+TEST(ThreadPoolTest, ParkedWorkerWakesForParallelFor) {
+  // Regression for a lost wakeup: every third round first sleeps long
+  // enough for both workers to spin out and park. Each chunk then waits for
+  // the other one to start. The caller can sit in only one of the two
+  // chunks, so the other runs only if a parked worker woke for its token;
+  // a lost wakeup times the wait out and fails the round instead of
+  // hanging the test.
   ThreadPool pool(2);
-  std::atomic<int> counter{0};
   for (int round = 0; round < 400; ++round) {
-    if (round % 3 == 0) {
-      // Give the workers time to spin out and park.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    pool.Submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-    pool.Wait();
-    ASSERT_EQ(counter.load(), round + 1) << "lost wakeup at round " << round;
+    if (round % 3 == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::atomic<int> started{0};
+    std::atomic<int> met{0};
+    pool.ParallelFor(0, 2, 1, [&](int64_t, int64_t) {
+      started.fetch_add(1);
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (started.load() == 2) met.fetch_add(1);
+    });
+    ASSERT_EQ(met.load(), 2) << "lost wakeup at round " << round;
   }
 }
 
 TEST(ThreadPoolTest, QueueDepthGaugeNeverGoesNegative) {
-  // The gauge is incremented BEFORE an item becomes acquirable and
+  // The gauge is incremented BEFORE a helper token becomes dequeuable and
   // decremented only AFTER it is dequeued, so a concurrent sampler must
-  // never observe a negative depth — and a drained pool must read 0.
+  // never observe a negative depth. Tokens the caller did not need may
+  // still be queued when ParallelFor returns; a destroyed pool has drained
+  // them all, so the depth then reads 0.
   MetricsRegistry registry;
-  ThreadPool pool(4);
-  pool.set_metrics_registry(&registry);
   Gauge* depth = registry.GetGauge("thread_pool.queue_depth");
-
   std::atomic<bool> stop{false};
   std::atomic<bool> went_negative{false};
   std::thread sampler([&] {
@@ -268,23 +311,39 @@ TEST(ThreadPoolTest, QueueDepthGaugeNeverGoesNegative) {
     }
   });
   std::atomic<int> counter{0};
-  for (int wave = 0; wave < 20; ++wave) {
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+  {
+    ThreadPool pool(4);
+    pool.set_metrics_registry(&registry);
+    for (int wave = 0; wave < 20; ++wave) {
+      pool.ParallelFor(0, 500, 16, [&counter](int64_t begin, int64_t end) {
+        counter.fetch_add(static_cast<int>(end - begin));
+      });
     }
-    pool.ParallelFor(0, 500, 16, [&counter](int64_t begin, int64_t end) {
-      counter.fetch_add(static_cast<int>(end - begin));
-    });
-    pool.Wait();
   }
   stop.store(true);
   sampler.join();
   EXPECT_FALSE(went_negative.load());
   EXPECT_EQ(depth->Value(), 0);
-  EXPECT_EQ(counter.load(), 20 * (50 + 500));
-  // tasks_run counts every Submit node and every executed ParallelFor chunk
-  // (ceil(500/16) = 32 chunks per wave), wherever they ran.
-  EXPECT_EQ(registry.Snapshot().counter("thread_pool.tasks_run"), 20 * (50 + 32));
+  EXPECT_EQ(counter.load(), 20 * 500);
+  // tasks_run counts every executed ParallelFor chunk (ceil(500/16) = 32
+  // chunks per wave), wherever it ran.
+  EXPECT_EQ(registry.Snapshot().counter("thread_pool.tasks_run"), 20 * 32);
+}
+
+TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
+  // The caller often finishes every chunk before a worker wakes for its
+  // helper token, so ParallelFor returns with tokens still queued.
+  // Destroying the pool right then must still drain them: the depth gauge
+  // returns to 0, and each token's reference to its call's descriptor is
+  // dropped.
+  MetricsRegistry registry;
+  for (int round = 0; round < 200; ++round) {
+    ThreadPool pool(4);
+    pool.set_metrics_registry(&registry);
+    pool.ParallelFor(0, 4, 1, [](int64_t, int64_t) {});
+  }
+  EXPECT_EQ(registry.GetGauge("thread_pool.queue_depth")->Value(), 0);
+  EXPECT_EQ(registry.Snapshot().counter("thread_pool.tasks_run"), 200 * 4);
 }
 
 /// Observations in the thread_pool.task.seconds histogram of `registry`.
@@ -298,35 +357,41 @@ int64_t TaskSecondsCount(MetricsRegistry& registry) {
 }
 
 TEST(ThreadPoolTest, NestedInlineChunksCountInsideTheirEnclosingTask) {
-  // Each Submit task runs a multi-chunk ParallelFor, which its worker runs
-  // inline while the task's own span is still open. Telemetry counts only
-  // outermost units, so tasks_run and the latency histogram's observation
-  // count both equal the number of submitted tasks.
+  // A worker runs a ParallelFor called from its own chunk inline, while that
+  // chunk's span is still open. Telemetry counts only outermost units, so
+  // tasks_run and the latency histogram's observation count both equal the
+  // number of outer chunks. The caller holds its chunk until a worker has
+  // one, so at least one nested call runs inline on a worker.
   MetricsRegistry registry;
   ThreadPool pool(4);
   pool.set_metrics_registry(&registry);
-  constexpr int kTasks = 40;
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr int64_t kOuter = 8;
   constexpr int64_t kRange = 100;
+  std::atomic<int> worker_chunks{0};
   std::atomic<int64_t> covered{0};
-  for (int t = 0; t < kTasks; ++t) {
-    pool.Submit([&pool, &covered] {
-      pool.ParallelFor(0, kRange, 10, [&covered](int64_t begin, int64_t end) {
-        covered.fetch_add(end - begin);
-      });
+  pool.ParallelFor(0, kOuter, 1, [&](int64_t, int64_t) {
+    if (std::this_thread::get_id() == caller) {
+      AwaitPositive(worker_chunks);
+    } else {
+      worker_chunks.fetch_add(1);
+    }
+    pool.ParallelFor(0, kRange, 10, [&covered](int64_t begin, int64_t end) {
+      covered.fetch_add(end - begin);
     });
-  }
-  pool.Wait();
-  EXPECT_EQ(covered.load(), kTasks * kRange);
-  EXPECT_EQ(registry.Snapshot().counter("thread_pool.tasks_run"), kTasks);
-  EXPECT_EQ(TaskSecondsCount(registry), kTasks);
+  });
+  EXPECT_GT(worker_chunks.load(), 0);
+  EXPECT_EQ(covered.load(), kOuter * kRange);
+  EXPECT_EQ(registry.Snapshot().counter("thread_pool.tasks_run"), kOuter);
+  EXPECT_EQ(TaskSecondsCount(registry), kOuter);
 }
 
 TEST(ThreadPoolTest, CallsInsideAChunkFromOutsideThePoolCountOnlyTheOuterChunks) {
   // The test thread is no worker, so a ParallelFor called inside one of
   // its own chunks takes the bulk path, and the workers left idle by the
   // short outer range join it. Those chunks run inside the outer chunk's
-  // span, whichever thread runs them, as does a width-1 pool's inline
-  // Submit task: only the outer chunks count.
+  // span, whichever thread runs them, as do a width-1 pool's inline nested
+  // chunks: only the outer chunks count.
   for (int width : {1, 4}) {
     MetricsRegistry registry;
     ThreadPool pool(width);
@@ -339,27 +404,27 @@ TEST(ThreadPoolTest, CallsInsideAChunkFromOutsideThePoolCountOnlyTheOuterChunks)
         std::this_thread::sleep_for(std::chrono::microseconds(100));
         covered.fetch_add(end - begin);
       });
-      if (pool.num_threads() == 1) pool.Submit([&covered] { covered.fetch_add(1); });
     });
-    const int64_t submitted = width == 1 ? kOuter : 0;
-    EXPECT_EQ(covered.load(), kOuter * kRange + submitted) << "width " << width;
+    EXPECT_EQ(covered.load(), kOuter * kRange) << "width " << width;
     EXPECT_EQ(registry.Snapshot().counter("thread_pool.tasks_run"), kOuter) << "width " << width;
     EXPECT_EQ(TaskSecondsCount(registry), kOuter) << "width " << width;
   }
 }
 
 TEST(ThreadPoolTest, InlinePoolSupportsParallelForAndNesting) {
-  // Width 1 never spawns threads: ParallelFor must run inline, immediately,
-  // with the same chunk partition as any pooled run.
+  // Width 1 never spawns threads: ParallelFor must run inline, on the
+  // calling thread, with the same chunk partition as any pooled run.
   ThreadPool pool(1);
+  EXPECT_EQ(pool.num_threads(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<int> hits(100, 0);  // Plain ints: single-threaded by contract.
   pool.ParallelFor(0, 100, 7, [&](int64_t begin, int64_t end) {
     pool.ParallelFor(begin, end, 3, [&](int64_t b, int64_t e) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
       for (int64_t i = b; i < e; ++i) hits[i] += 1;
     });
   });
   for (int i = 0; i < 100; ++i) ASSERT_EQ(hits[i], 1) << "index " << i;
-  pool.Wait();  // Still a no-op.
 }
 
 }  // namespace
