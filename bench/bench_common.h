@@ -6,6 +6,7 @@
 #ifndef SMOKESCREEN_BENCH_BENCH_COMMON_H_
 #define SMOKESCREEN_BENCH_BENCH_COMMON_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -22,6 +23,7 @@
 #include "query/output_source.h"
 #include "stats/rng.h"
 #include "util/metrics.h"
+#include "util/string_util.h"
 #include "video/presets.h"
 
 namespace smokescreen {
@@ -142,6 +144,23 @@ class MetricsDumpGuard {
  private:
   std::string path_;
 };
+
+/// The integer value of the flag at argv[i], with i advanced past it. A
+/// missing value or one that is not an integer prints the error on stderr
+/// and exits with status 2, like any other usage error.
+inline int64_t IntFlagValue(int argc, char** argv, int& i) {
+  const char* flag = argv[i];
+  if (i + 1 >= argc) {
+    std::fprintf(stderr, "missing value for %s\n", flag);
+    std::exit(2);
+  }
+  auto parsed = util::ParseInt(argv[++i]);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: %s\n", flag, parsed.status().ToString().c_str());
+    std::exit(2);
+  }
+  return *parsed;
+}
 
 }  // namespace bench
 }  // namespace smokescreen

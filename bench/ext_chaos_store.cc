@@ -84,19 +84,10 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_chaos.json";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    auto next_int = [&](int64_t* out) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      auto parsed = util::ParseInt(argv[++i]);
-      parsed.status().CheckOk();
-      *out = *parsed;
-    };
     if (arg == "--frames") {
-      next_int(&frames);
+      frames = bench::IntFlagValue(argc, argv, i);
     } else if (arg == "--rounds") {
-      next_int(&rounds);
+      rounds = bench::IntFlagValue(argc, argv, i);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {

@@ -94,22 +94,12 @@ int main(int argc, char** argv) {
   int max_threads = 8;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    auto next_int = [&](int64_t* out) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      auto parsed = util::ParseInt(argv[++i]);
-      parsed.status().CheckOk();
-      *out = *parsed;
-    };
     if (arg == "--frames") {
-      next_int(&frames);
+      frames = bench::IntFlagValue(argc, argv, i);
     } else if (arg == "--latency-us") {
-      next_int(&latency_us);
+      latency_us = bench::IntFlagValue(argc, argv, i);
     } else if (arg == "--max-threads") {
-      int64_t t = 0;
-      next_int(&t);
+      const int64_t t = bench::IntFlagValue(argc, argv, i);
       if (t < 1 || t > std::numeric_limits<int>::max()) {
         std::fprintf(stderr, "--max-threads must be in [1, 2147483647]\n");
         return 2;

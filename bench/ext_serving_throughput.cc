@@ -179,14 +179,10 @@ int main(int argc, char** argv) {
   int64_t per_frame_us = 50;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--frames" && i + 1 < argc) {
-      auto parsed = util::ParseInt(argv[++i]);
-      parsed.status().CheckOk();
-      frames = *parsed;
-    } else if (arg == "--per-frame-us" && i + 1 < argc) {
-      auto parsed = util::ParseInt(argv[++i]);
-      parsed.status().CheckOk();
-      per_frame_us = *parsed;
+    if (arg == "--frames") {
+      frames = bench::IntFlagValue(argc, argv, i);
+    } else if (arg == "--per-frame-us") {
+      per_frame_us = bench::IntFlagValue(argc, argv, i);
     } else {
       std::fprintf(stderr,
                    "usage: ext_serving_throughput [--frames N] [--per-frame-us N]"

@@ -39,18 +39,15 @@ int main(int argc, char** argv) {
   std::string output_store;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      auto parsed = util::ParseInt(argv[++i]);
-      parsed.status().CheckOk();
-      if (*parsed < 0 || *parsed > std::numeric_limits<int>::max()) {
+    if (arg == "--threads") {
+      const int64_t parsed = bench::IntFlagValue(argc, argv, i);
+      if (parsed < 0 || parsed > std::numeric_limits<int>::max()) {
         std::fprintf(stderr, "--threads must be in [0, 2147483647] (0 = hardware concurrency)\n");
         return 2;
       }
-      threads = static_cast<int>(*parsed);
-    } else if (arg == "--batch-size" && i + 1 < argc) {
-      auto parsed = util::ParseInt(argv[++i]);
-      parsed.status().CheckOk();
-      batch_size = *parsed;
+      threads = static_cast<int>(parsed);
+    } else if (arg == "--batch-size") {
+      batch_size = bench::IntFlagValue(argc, argv, i);
       if (batch_size < 0) {
         std::fprintf(stderr, "--batch-size must be >= 0 (0 = unlimited)\n");
         return 2;

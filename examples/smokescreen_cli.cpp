@@ -219,7 +219,7 @@ int Run(Flags flags) {
     }
   }
 
-  // One Runtime per process: shared executor, registry, admission, caches.
+  // One Runtime per process: shared executor, registry, workloads, caches.
   engine::RuntimeOptions runtime_opts;
   runtime_opts.num_threads = flags.threads;
   runtime_opts.max_batch_size = flags.batch_size;
@@ -383,8 +383,8 @@ int Run(Flags flags) {
                 util::FormatPercent(savings->faces_recognizable_fraction)});
   table.Print(std::cout);
 
-  // Execute the degraded query through the session (admission-gated, shared
-  // memo cache, per-call deterministic RNG stream).
+  // Execute the degraded query through the session (shared memo cache,
+  // per-call deterministic RNG stream).
   auto result = (*session)->Execute(choice->interventions);
   result.status().CheckOk();
   std::printf("\napproximate %s answer: %.4f (err bound %.2f%%, %lld frames processed)\n",

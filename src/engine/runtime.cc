@@ -1,7 +1,5 @@
 #include "engine/runtime.h"
 
-#include <chrono>
-#include <cmath>
 #include <filesystem>
 #include <utility>
 
@@ -41,6 +39,9 @@ ProfileProvenance Workload::provenance() const {
 
 namespace {
 
+/// Profiles the ProfileCache keeps (LRU).
+constexpr size_t kProfileCacheCapacity = 16;
+
 bool PointsIdentical(const core::ProfilePoint& a, const core::ProfilePoint& b) {
   return a.interventions == b.interventions && a.err_bound == b.err_bound &&
          a.err_uncorrected == b.err_uncorrected && a.y_approx == b.y_approx &&
@@ -64,16 +65,10 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
       options_.registry != nullptr ? options_.registry : &util::MetricsRegistry::Default();
   executor_ = std::make_unique<util::ThreadPool>(options_.num_threads);
   executor_->set_metrics_registry(registry_);
-  profile_cache_ = std::make_unique<ProfileCache>(options_.profile_cache_capacity, registry_);
+  profile_cache_ = std::make_unique<ProfileCache>(kProfileCacheCapacity, registry_);
 
   metrics_.sessions_started = registry_->GetCounter("engine.sessions.started");
   metrics_.sessions_active = registry_->GetGauge("engine.sessions.active");
-  metrics_.work_admitted = registry_->GetCounter("engine.admission.admitted");
-  metrics_.admission_timeouts = registry_->GetCounter("engine.admission.timeouts");
-  metrics_.admission_queue_depth = registry_->GetGauge("engine.admission.queue_depth");
-  metrics_.active_work = registry_->GetGauge("engine.admission.active_work");
-  metrics_.admission_wait_seconds =
-      registry_->GetStageHistogram("engine.admission.wait.seconds");
   metrics_.store_save_seconds = registry_->GetStageHistogram("engine.store.save.seconds");
   metrics_.workloads_materialized = registry_->GetCounter("engine.workloads.materialized");
   metrics_.workloads_shared = registry_->GetCounter("engine.workloads.shared");
@@ -82,24 +77,15 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
 Runtime::~Runtime() = default;
 
 Result<std::unique_ptr<Runtime>> Runtime::Create(RuntimeOptions options) {
-  if (options.max_concurrent_sessions < 0) {
-    return Status::InvalidArgument("max_concurrent_sessions must be >= 0");
-  }
-  if (options.admission_wait_budget_sec <= 0.0 ||
-      std::isnan(options.admission_wait_budget_sec)) {
-    return Status::InvalidArgument("admission_wait_budget_sec must be positive");
-  }
   if (options.max_batch_size < 0) {
     return Status::InvalidArgument("max_batch_size must be >= 0 (0 = unlimited)");
   }
-  SMK_RETURN_IF_ERROR(options.compute_policy.Validate());
   return std::unique_ptr<Runtime>(new Runtime(std::move(options)));
 }
 
 void Runtime::WireSource(query::FrameOutputSource& source) const {
   source.set_metrics_registry(registry_);
   source.set_max_batch_size(options_.max_batch_size);
-  source.set_compute_policy(options_.compute_policy).CheckOk();
   // The shared executor serves the source's miss-batch fan-out as well as
   // the profiler's group fan-out. This is safe against the classic
   // pool-against-itself deadlock because the source dispatches misses with
@@ -234,98 +220,6 @@ Status Runtime::SaveStore(const WorkloadHandle& workload, const std::string& pat
   util::ScopedSpan save_span(metrics_.store_save_seconds);
   query::OutputStore store = workload->source().ExportStore();
   return store.Save(*env_, target);
-}
-
-Runtime::WorkPermit& Runtime::WorkPermit::operator=(WorkPermit&& other) noexcept {
-  if (this != &other) {
-    if (runtime_ != nullptr) runtime_->ReleaseWork();
-    runtime_ = other.runtime_;
-    other.runtime_ = nullptr;
-  }
-  return *this;
-}
-
-Runtime::WorkPermit::~WorkPermit() {
-  if (runtime_ != nullptr) runtime_->ReleaseWork();
-}
-
-Result<Runtime::WorkPermit> Runtime::AdmitWork() {
-  if (options_.max_concurrent_sessions == 0) {
-    // Unlimited: no queue, but the gauges still tell the truth.
-    {
-      util::MutexLock lock(&admit_mu_);
-      ++active_work_;
-      metrics_.active_work->Set(active_work_);
-    }
-    metrics_.work_admitted->Increment();
-    return WorkPermit(this);
-  }
-
-  util::ScopedSpan wait_span(metrics_.admission_wait_seconds);
-  util::MutexLock lock(&admit_mu_);
-  const uint64_t ticket = next_ticket_++;
-  admit_queue_.push_back(ticket);
-  metrics_.admission_queue_depth->Set(static_cast<int64_t>(admit_queue_.size()));
-
-  auto admissible = [this, ticket]() SMK_REQUIRES(admit_mu_) {
-    return admit_queue_.front() == ticket &&
-           active_work_ < options_.max_concurrent_sessions;
-  };
-  bool admitted;
-  if (std::isinf(options_.admission_wait_budget_sec)) {
-    admit_cv_.Wait(admit_mu_, admissible);
-    admitted = true;
-  } else {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options_.admission_wait_budget_sec));
-    admitted = admit_cv_.WaitUntil(admit_mu_, deadline, admissible);
-  }
-  if (!admitted) {
-    // Remove our ticket wherever it sits so later arrivals are not queued
-    // behind a waiter that gave up.
-    for (auto it = admit_queue_.begin(); it != admit_queue_.end(); ++it) {
-      if (*it == ticket) {
-        admit_queue_.erase(it);
-        break;
-      }
-    }
-    ++admission_timeouts_;
-    metrics_.admission_timeouts->Increment();
-    metrics_.admission_queue_depth->Set(static_cast<int64_t>(admit_queue_.size()));
-    admit_cv_.NotifyAll();
-    return Status::Unavailable("admission wait exceeded " +
-                               std::to_string(options_.admission_wait_budget_sec) +
-                               "s (queue full)");
-  }
-  admit_queue_.pop_front();
-  ++active_work_;
-  metrics_.active_work->Set(active_work_);
-  metrics_.admission_queue_depth->Set(static_cast<int64_t>(admit_queue_.size()));
-  metrics_.work_admitted->Increment();
-  // The next waiter may also be admissible (multiple slots can be free).
-  admit_cv_.NotifyAll();
-  return WorkPermit(this);
-}
-
-void Runtime::ReleaseWork() {
-  {
-    util::MutexLock lock(&admit_mu_);
-    --active_work_;
-    metrics_.active_work->Set(active_work_);
-  }
-  admit_cv_.NotifyAll();
-}
-
-int64_t Runtime::active_work() const {
-  util::MutexLock lock(&admit_mu_);
-  return active_work_;
-}
-
-int64_t Runtime::admission_timeouts() const {
-  util::MutexLock lock(&admit_mu_);
-  return admission_timeouts_;
 }
 
 }  // namespace engine

@@ -1,8 +1,7 @@
 // engine::Runtime — the serving layer's single owner of shared state.
 //
 // The paper frames Smokescreen as a SERVICE: administrators submit (video,
-// query, intervention) requests and get tradeoff profiles back (§3.1), and
-// the production target is many concurrent users over the same camera feeds.
+// query, intervention) requests and get tradeoff profiles back (§3.1).
 // Before this layer existed every entry point hand-wired its own Env,
 // ThreadPool, MetricsRegistry, FrameOutputSource and Profiler, so the
 // process could serve exactly one query at a time and nothing was shared
@@ -13,9 +12,9 @@
 //
 //  * One Runtime per process (or per test). It owns the injected
 //    dependencies — util::Env, util::MetricsRegistry, a shared
-//    util::ThreadPool executor, the ComputePolicy/batching defaults, and the
-//    seed policy — and hands them to everything below. No component under a
-//    Runtime reaches for a singleton.
+//    util::ThreadPool executor, the batching default, and the seed policy —
+//    and hands them to everything below. No component under a Runtime
+//    reaches for a singleton.
 //  * One shared Workload per (dataset, frames, model, target class): the
 //    dataset, detector, class-prior index and ONE FrameOutputSource. All
 //    sessions over the same pair share the columnar memo cache, so a miss
@@ -27,11 +26,9 @@
 //  * A ProfileCache LRU serving repeat profile requests from memory, keyed
 //    by (workload, query, candidate grid, profiler options, seed) with
 //    provenance checks.
-//  * Admission control: at most `max_concurrent_sessions` units of work
-//    (profile generation / query execution) run at once; excess requests
-//    queue FIFO and admission waits are bounded by a watchdog budget —
-//    beyond it the request fails kUnavailable instead of stalling forever
-//    (the same budget philosophy as query::ComputePolicy, one tier up).
+//
+// Sessions run their work directly on the calling thread; there is no
+// admission queue and no concurrency limit.
 //
 // Determinism invariant: a profile produced through the Runtime is a pure
 // function of (workload, query, candidate grid, profiler options, seed) —
@@ -44,8 +41,6 @@
 #define SMOKESCREEN_ENGINE_RUNTIME_H_
 
 #include <cstdint>
-#include <deque>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -75,18 +70,8 @@ struct RuntimeOptions {
   /// Shared executor width (profiler group fan-out); 0 = hardware
   /// concurrency. Results are bit-identical at every setting.
   int num_threads = 0;
-  /// Max units of work (profile generations / executions) in flight at
-  /// once; further requests queue FIFO. 0 = unlimited (no queueing).
-  int max_concurrent_sessions = 0;
-  /// Watchdog on the FIFO admission wait: a request still queued after this
-  /// many seconds fails with kUnavailable instead of waiting forever.
-  double admission_wait_budget_sec = std::numeric_limits<double>::infinity();
-  /// ProfileCache entries kept (LRU); 0 disables profile caching.
-  size_t profile_cache_capacity = 16;
   /// Default frames-per-CountBatch cap for every source (0 = unlimited).
   int64_t max_batch_size = 0;
-  /// Retry/watchdog policy installed on every source.
-  query::ComputePolicy compute_policy;
   /// Seed used by sessions that do not set their own.
   uint64_t default_seed = 2026;
   /// Injected dependencies; nullptr = the process-wide defaults.
@@ -173,7 +158,7 @@ class Runtime {
 
   /// Wraps caller-built pieces (custom simulated scenes, decorated
   /// detectors) into a runtime-wired workload: the source gets this
-  /// runtime's registry, batching and compute policy. Not entered into the
+  /// runtime's registry, batching and executor. Not entered into the
   /// share map — sharing a custom workload means sharing its handle. All
   /// three pointers must be non-null.
   util::Result<WorkloadHandle> AdoptWorkload(std::string label,
@@ -192,40 +177,11 @@ class Runtime {
   /// that reaches the export is timed in `engine.store.save.seconds`.
   util::Status SaveStore(const WorkloadHandle& workload, const std::string& path = "");
 
-  /// RAII admission permit: holding one means the caller is inside the
-  /// concurrency limit. Movable; releases (and wakes the queue) on destroy.
-  class WorkPermit {
-   public:
-    WorkPermit() = default;
-    WorkPermit(WorkPermit&& other) noexcept : runtime_(other.runtime_) {
-      other.runtime_ = nullptr;
-    }
-    WorkPermit& operator=(WorkPermit&& other) noexcept;
-    ~WorkPermit();
-
-    WorkPermit(const WorkPermit&) = delete;
-    WorkPermit& operator=(const WorkPermit&) = delete;
-
-   private:
-    friend class Runtime;
-    explicit WorkPermit(Runtime* runtime) : runtime_(runtime) {}
-    Runtime* runtime_ = nullptr;
-  };
-
-  /// Blocks until this caller is admitted (FIFO across waiters) or the
-  /// admission watchdog budget elapses — then kUnavailable, and the caller's
-  /// queue slot is released so later arrivals are not stuck behind a corpse.
-  util::Result<WorkPermit> AdmitWork() SMK_EXCLUDES(admit_mu_);
-
   util::Env& env() const { return *env_; }
   util::MetricsRegistry& registry() const { return *registry_; }
   util::ThreadPool& executor() const { return *executor_; }
   ProfileCache& profile_cache() { return *profile_cache_; }
   const RuntimeOptions& options() const { return options_; }
-
-  /// Work units currently admitted (for tests and ops dashboards).
-  int64_t active_work() const SMK_EXCLUDES(admit_mu_);
-  int64_t admission_timeouts() const SMK_EXCLUDES(admit_mu_);
 
  private:
   friend class Session;
@@ -233,9 +189,9 @@ class Runtime {
 
   /// Builds the dataset/model/prior/source quartet for `desc`.
   util::Result<std::unique_ptr<Workload>> Materialize(const WorkloadDesc& desc);
-  /// Wires a freshly built source to this runtime's registry and policies.
+  /// Wires a freshly built source to this runtime's registry, batching
+  /// default and executor.
   void WireSource(query::FrameOutputSource& source) const;
-  void ReleaseWork() SMK_EXCLUDES(admit_mu_);
 
   RuntimeOptions options_;
   util::Env* env_ = nullptr;
@@ -246,23 +202,9 @@ class Runtime {
   util::Mutex workloads_mu_;
   std::map<std::string, WorkloadHandle> workloads_ SMK_GUARDED_BY(workloads_mu_);
 
-  /// FIFO admission queue. Tickets are handed out in arrival order; the
-  /// front ticket is admitted as soon as a slot frees.
-  mutable util::Mutex admit_mu_;
-  util::CondVar admit_cv_;
-  std::deque<uint64_t> admit_queue_ SMK_GUARDED_BY(admit_mu_);
-  uint64_t next_ticket_ SMK_GUARDED_BY(admit_mu_) = 0;
-  int64_t active_work_ SMK_GUARDED_BY(admit_mu_) = 0;
-  int64_t admission_timeouts_ SMK_GUARDED_BY(admit_mu_) = 0;
-
   struct Instruments {
     util::Counter* sessions_started = nullptr;
     util::Gauge* sessions_active = nullptr;
-    util::Counter* work_admitted = nullptr;
-    util::Counter* admission_timeouts = nullptr;
-    util::Gauge* admission_queue_depth = nullptr;
-    util::Gauge* active_work = nullptr;
-    util::Histogram* admission_wait_seconds = nullptr;
     util::Histogram* store_save_seconds = nullptr;
     util::Counter* workloads_materialized = nullptr;
     util::Counter* workloads_shared = nullptr;

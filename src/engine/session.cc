@@ -82,7 +82,6 @@ Result<core::ProfileHandle> Session::Profile(
     }
   }
 
-  SMK_ASSIGN_OR_RETURN(Runtime::WorkPermit permit, runtime_->AdmitWork());
   core::Profiler profiler(workload_->source(), workload_->prior(), config_.spec,
                           config_.profiler);
   profiler.set_metrics_registry(&runtime_->registry());
@@ -117,7 +116,6 @@ Result<core::TradeoffChoice> Session::ChooseTradeoff(double max_error) const {
 
 Result<core::EstimationResult> Session::Execute(
     const degrade::InterventionSet& interventions, double delta) {
-  SMK_ASSIGN_OR_RETURN(Runtime::WorkPermit permit, runtime_->AdmitWork());
   // Per-call stream derived from (seed, call index): this session's Nth
   // execution draws the same randomness whether it runs alone or alongside
   // 15 other sessions.

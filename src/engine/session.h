@@ -2,8 +2,9 @@
 //
 // A session is the per-request object of the serving layer: it owns the
 // query spec, the seed, and the engine-owned handle to the generated
-// profile, and it routes every expensive step (profile generation, query
-// execution) through the Runtime's admission control and shared executor.
+// profile, and it runs every expensive step (profile generation, query
+// execution) on the calling thread, over the Runtime's shared executor and
+// the workload's shared memo.
 //
 // The lifecycle mirrors the paper's administration procedure (§3.1):
 //
@@ -67,7 +68,7 @@ class Session {
 
   /// The profile for `candidates`: from the ProfileCache when an entry with
   /// matching provenance exists, otherwise generated on the shared executor
-  /// (under an admission permit) and cached. The returned handle is
+  /// and cached. The returned handle is
   /// engine-owned and safe to hold past the session's death.
   util::Result<core::ProfileHandle> Profile(
       const std::vector<degrade::InterventionSet>& candidates);
@@ -87,9 +88,9 @@ class Session {
   /// Strongest degradation within `max_error` over the last profile.
   util::Result<core::TradeoffChoice> ChooseTradeoff(double max_error) const;
 
-  /// Executes the session's query under `interventions` (admission-gated,
-  /// shared memo cache). Per-call RNG stream derived from (seed, call
-  /// index): deterministic under any cross-session interleaving.
+  /// Executes the session's query under `interventions` through the shared
+  /// memo cache. Per-call RNG stream derived from (seed, call index):
+  /// deterministic under any cross-session interleaving.
   util::Result<core::EstimationResult> Execute(const degrade::InterventionSet& interventions,
                                                double delta = 0.05);
 

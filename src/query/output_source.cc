@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdint>
-#include <thread>
 #include <utility>
 
 #include "util/logging.h"
@@ -89,19 +87,6 @@ inline bool RangeClear(const ReadyBits& ready, const std::vector<uint64_t>& infl
 
 }  // namespace
 
-Status ComputePolicy::Validate() const {
-  if (max_attempts < 1) {
-    return Status::InvalidArgument("ComputePolicy.max_attempts must be >= 1");
-  }
-  if (!(backoff_base_sec >= 0.0)) {
-    return Status::InvalidArgument("ComputePolicy.backoff_base_sec must be >= 0");
-  }
-  if (std::isnan(batch_budget_sec) || batch_budget_sec < 0.0) {
-    return Status::InvalidArgument("ComputePolicy.batch_budget_sec must be >= 0");
-  }
-  return Status::OK();
-}
-
 FrameOutputSource::FrameOutputSource(const video::VideoDataset& dataset,
                                      const detect::Detector& detector,
                                      video::ObjectClass target_class)
@@ -115,8 +100,6 @@ void FrameOutputSource::BindMetrics(util::MetricsRegistry* registry) {
   metrics_.invocations = registry->GetCounter("output_source.model_invocations");
   metrics_.hits = registry->GetCounter("output_source.cache_hits");
   metrics_.inflight_waits = registry->GetCounter("output_source.inflight_waits");
-  metrics_.compute_retries = registry->GetCounter("output_source.compute_retries");
-  metrics_.watchdog_trips = registry->GetCounter("output_source.watchdog_trips");
   metrics_.repair_columns_recomputed =
       registry->GetCounter("output_source.repair.columns_recomputed");
   metrics_.repair_entries_recomputed =
@@ -129,63 +112,24 @@ void FrameOutputSource::set_metrics_registry(util::MetricsRegistry* registry) {
   BindMetrics(registry);
 }
 
-Status FrameOutputSource::set_compute_policy(const ComputePolicy& policy) {
-  SMK_RETURN_IF_ERROR(policy.Validate());
-  compute_policy_ = policy;
-  return Status::OK();
-}
-
-Status FrameOutputSource::RetryCountBatch(std::span<const int64_t> frames, int resolution,
-                                          double contrast_scale, std::span<int> out) const {
-  const ComputePolicy& policy = compute_policy_;
-  const auto start = std::chrono::steady_clock::now();
-  auto elapsed_sec = [&start] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  };
-  Status status;
-  for (int attempt = 1; attempt <= policy.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      // Budget check BEFORE spending a retry: the first attempt always
-      // runs, and a success is never failed retroactively for being slow.
-      if (elapsed_sec() >= policy.batch_budget_sec) {
-        watchdog_trips_.fetch_add(1, std::memory_order_relaxed);
-        metrics_.watchdog_trips->Increment();
-        return Status::Unavailable(
-            "batch compute watchdog: " + std::to_string(frames.size()) + "-frame batch burned " +
-            std::to_string(elapsed_sec()) + "s of a " +
-            std::to_string(policy.batch_budget_sec) + "s budget after " +
-            std::to_string(attempt - 1) + " attempts; last error: " + status.ToString());
-      }
-      const double backoff = policy.backoff_base_sec * static_cast<double>(1 << (attempt - 2));
-      if (backoff > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      }
-      compute_retries_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.compute_retries->Increment();
-    }
-    status = detector_.CountBatch(dataset_, frames, resolution, target_class_, contrast_scale,
-                                  out);
-    if (status.ok()) return status;
-  }
-  return status;
-}
-
 Status FrameOutputSource::ComputeMisses(std::span<const int64_t> miss_frames, int resolution,
                                         double contrast_scale, std::span<int> miss_counts) {
   const int64_t n = static_cast<int64_t>(miss_frames.size());
   // max_batch_size caps the frames per CountBatch call on BOTH paths.
   const int64_t cap = max_batch_size_ > 0 ? std::min<int64_t>(max_batch_size_, n) : n;
+  // One model call over misses [begin, end), writing their slice of
+  // miss_counts.
+  auto count_chunk = [&](int64_t begin, int64_t end) {
+    const auto offset = static_cast<size_t>(begin);
+    const auto len = static_cast<size_t>(end - begin);
+    return detector_.CountBatch(dataset_, miss_frames.subspan(offset, len), resolution,
+                                target_class_, contrast_scale, miss_counts.subspan(offset, len));
+  };
   util::ThreadPool* pool = pool_;
   if (pool == nullptr || pool->num_threads() <= 1 ||
       n < kParallelMissesPerWorker * pool->num_threads()) {
     for (int64_t begin = 0; begin < n; begin += cap) {
-      const int64_t len = std::min(cap, n - begin);
-      SMK_RETURN_IF_ERROR(
-          RetryCountBatch(miss_frames.subspan(static_cast<size_t>(begin),
-                                              static_cast<size_t>(len)),
-                          resolution, contrast_scale,
-                          miss_counts.subspan(static_cast<size_t>(begin),
-                                              static_cast<size_t>(len))));
+      SMK_RETURN_IF_ERROR(count_chunk(begin, std::min(begin + cap, n)));
     }
     return Status::OK();
   }
@@ -202,16 +146,9 @@ Status FrameOutputSource::ComputeMisses(std::span<const int64_t> miss_frames, in
   // sequence inline.
   const int64_t chunk = std::min(cap, kParallelChunk);
   std::vector<Status> chunk_status(static_cast<size_t>((n + chunk - 1) / chunk));
-  pool->ParallelFor(0, n, chunk,
-                    [this, miss_frames, miss_counts, resolution, contrast_scale, chunk,
-                     &chunk_status](int64_t begin, int64_t end) {
-                      chunk_status[static_cast<size_t>(begin / chunk)] = RetryCountBatch(
-                          miss_frames.subspan(static_cast<size_t>(begin),
-                                              static_cast<size_t>(end - begin)),
-                          resolution, contrast_scale,
-                          miss_counts.subspan(static_cast<size_t>(begin),
-                                              static_cast<size_t>(end - begin)));
-                    });
+  pool->ParallelFor(0, n, chunk, [&count_chunk, &chunk_status, chunk](int64_t begin, int64_t end) {
+    chunk_status[static_cast<size_t>(begin / chunk)] = count_chunk(begin, end);
+  });
   // First failing chunk (by position, not completion order) wins, keeping
   // the reported error deterministic.
   for (Status& status : chunk_status) {

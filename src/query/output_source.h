@@ -10,10 +10,10 @@
 // OutputColumn. Both go through one claim -> compute -> install protocol: a
 // request probes the memo column it addresses, claims every miss, and
 // issues ONE batched model invocation (Detector::CountBatch) covering all
-// of them, under the ComputePolicy. Batching changes only the cost shape,
-// never the answer — counts are bit-identical to per-frame calls, and the
-// invocation/hit counters tally a batch of N distinct misses as exactly N
-// model invocations.
+// of them. A failed model call fails the request and releases its claims.
+// Batching changes only the cost shape, never the answer — counts are
+// bit-identical to per-frame calls, and the invocation/hit counters tally a
+// batch of N distinct misses as exactly N model invocations.
 //
 // Storage: one direct-mapped column per (resolution, contrast) pair, created
 // on first touch, at every dataset size — a flat counts[num_frames] array
@@ -46,7 +46,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -94,27 +93,6 @@ struct OutputColumn {
   }
 };
 
-/// Bounded-retry/time-budget policy for batched model invocations — the
-/// execution-tier mirror of camera::TransmitPolicy. A transient detector
-/// failure (a real deployment's inference service hiccuping) is retried up
-/// to `max_attempts` times per CountBatch call; a watchdog refuses further
-/// retries once a batch has burned `batch_budget_sec` of wall clock, so one
-/// pathological batch cannot stall a profile run indefinitely.
-struct ComputePolicy {
-  /// Attempts per CountBatch call (>= 1); 1 means no retries.
-  int max_attempts = 1;
-  /// Sleep before retry k (k >= 1) is backoff_base_sec * 2^(k-1).
-  double backoff_base_sec = 0.0;
-  /// Watchdog: once a single batch's cumulative compute time (attempts +
-  /// backoff) exceeds this, remaining retries are forfeited and the batch
-  /// fails with kUnavailable. The FIRST attempt always runs. A batch that
-  /// SUCCEEDS over budget is still a success — the watchdog guards retry
-  /// loops, it does not turn slow answers into wrong ones.
-  double batch_budget_sec = std::numeric_limits<double>::infinity();
-
-  util::Status Validate() const;
-};
-
 class FrameOutputSource {
  public:
   /// Neither reference may outlive this object.
@@ -123,7 +101,7 @@ class FrameOutputSource {
 
   /// Raw counts for `frame_indices` written into `out` (same length, same
   /// order). The claimed misses are computed by ONE CountBatch invocation
-  /// per batch chunk (see set_max_batch_size) under the compute policy.
+  /// per batch chunk (see set_max_batch_size).
   /// Duplicate frames, unsorted lists and empty lists are all fine. A frame
   /// outside the dataset (OutOfRange) or a resolution the model rejects
   /// (InvalidArgument) fails the whole request before anything is claimed
@@ -167,20 +145,6 @@ class FrameOutputSource {
   /// one executor between sessions, the profiler and this source). nullptr
   /// (the default) restores the serial path.
   void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
-
-  /// Retry/watchdog policy applied to every CountBatch invocation (serial
-  /// and pooled paths alike). InvalidArgument on a malformed policy; the
-  /// default policy is one attempt, no budget. Retries re-invoke the model
-  /// on the SAME frames — outputs are deterministic, so a retried success
-  /// is bit-identical to a first-attempt success and the invocation
-  /// counters still tally one invocation per distinct computed key.
-  util::Status set_compute_policy(const ComputePolicy& policy);
-
-  /// CountBatch attempts beyond the first that the retry policy spent.
-  int64_t compute_retries() const { return compute_retries_.load(std::memory_order_relaxed); }
-  /// Batches the watchdog failed because the time budget ran out with
-  /// retries still available.
-  int64_t watchdog_trips() const { return watchdog_trips_.load(std::memory_order_relaxed); }
 
   /// Snapshots the memo cache into a persistable OutputStore: one column
   /// per (resolution, contrast) pair seen, in (resolution, contrast_q)
@@ -268,18 +232,14 @@ class FrameOutputSource {
 
   Column& ColumnFor(int resolution, int64_t contrast_q) SMK_EXCLUDES(columns_mu_);
 
-  /// Computes the claimed misses of one round: cap-sized serial CountBatch
-  /// calls when small or poolless, a bulk ParallelFor of min(cap,
-  /// 1024)-sized chunks when large. ParallelFor is
+  /// Computes the claimed misses of one round with one CountBatch call per
+  /// chunk: cap-sized serial calls when small or poolless, a bulk
+  /// ParallelFor of min(cap, 1024)-sized chunks when large. ParallelFor is
   /// synchronous over exactly these chunks, so no private latch is needed
-  /// and a shared pool never makes this wait on unrelated users.
+  /// and a shared pool never makes this wait on unrelated users. A failed
+  /// pooled chunk reports the first failure by chunk position.
   util::Status ComputeMisses(std::span<const int64_t> miss_frames, int resolution,
                              double contrast_scale, std::span<int> miss_counts);
-
-  /// One CountBatch call under the compute policy: bounded retries with
-  /// exponential backoff, cut short by the per-batch watchdog budget.
-  util::Status RetryCountBatch(std::span<const int64_t> frames, int resolution,
-                               double contrast_scale, std::span<int> out) const;
 
   /// Registry-bound instrument pointers (never null after construction;
   /// registry instruments are immortal). Additive mirrors of the atomic
@@ -289,8 +249,6 @@ class FrameOutputSource {
     util::Counter* invocations = nullptr;
     util::Counter* hits = nullptr;
     util::Counter* inflight_waits = nullptr;
-    util::Counter* compute_retries = nullptr;
-    util::Counter* watchdog_trips = nullptr;
     util::Counter* repair_columns_recomputed = nullptr;
     util::Counter* repair_entries_recomputed = nullptr;
     util::Histogram* miss_batch_size = nullptr;
@@ -302,7 +260,6 @@ class FrameOutputSource {
   video::ObjectClass target_class_;
   int64_t max_batch_size_ = 0;
   util::ThreadPool* pool_ = nullptr;
-  ComputePolicy compute_policy_;
 
   Instruments metrics_;
   /// The registry the instruments are bound to (never null); RepairStore
@@ -323,10 +280,6 @@ class FrameOutputSource {
   std::vector<std::unique_ptr<const ColumnIndex>> column_indexes_ SMK_GUARDED_BY(columns_mu_);
   std::atomic<int64_t> model_invocations_{0};
   std::atomic<int64_t> cache_hits_{0};
-  // Mutable: RetryCountBatch is const (it computes, it does not change the
-  // source's configuration) but still tallies these diagnostics.
-  mutable std::atomic<int64_t> compute_retries_{0};
-  mutable std::atomic<int64_t> watchdog_trips_{0};
 };
 
 }  // namespace query

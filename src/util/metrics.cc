@@ -86,16 +86,6 @@ std::vector<int64_t> Histogram::BucketCounts() const {
   return out;
 }
 
-void Histogram::Reset() {
-  for (Cell& cell : cells_) {
-    for (size_t b = 0; b < boundaries_.size() + 1; ++b) {
-      cell.buckets[b].store(0, std::memory_order_relaxed);
-    }
-    cell.count.store(0, std::memory_order_relaxed);
-    cell.sum.store(0.0, std::memory_order_relaxed);
-  }
-}
-
 std::span<const double> LatencyBoundariesSeconds() {
   static const double kBounds[] = {1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3,
                                    1e-2, 3e-2, 0.1,  0.3,  1.0,  3.0,  10.0, 30.0,
@@ -167,13 +157,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snap.histograms.push_back(std::move(h));
   }
   return snap;
-}
-
-void MetricsRegistry::Reset() {
-  MutexLock lock(&mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, hist] : histograms_) hist->Reset();
 }
 
 int64_t MetricsSnapshot::counter(const std::string& name) const {

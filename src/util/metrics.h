@@ -78,8 +78,7 @@ int ThisThreadCell();
 
 /// Monotonic counter. Add/Increment are lock-free relaxed atomic adds into a
 /// per-thread-affine cell; Value() sums all cells (exact — integer adds
-/// commute). Counters only go up; Reset() exists for registry-level test
-/// hygiene, not for steady-state use.
+/// commute). Counters only go up.
 class Counter {
  public:
   void Add(int64_t n) {
@@ -98,10 +97,6 @@ class Counter {
  private:
   friend class MetricsRegistry;
   explicit Counter(std::string name) : name_(std::move(name)) {}
-
-  void Reset() {
-    for (Cell& cell : cells_) cell.v.store(0, std::memory_order_relaxed);
-  }
 
   struct alignas(64) Cell {
     std::atomic<int64_t> v{0};
@@ -124,7 +119,6 @@ class Gauge {
  private:
   friend class MetricsRegistry;
   explicit Gauge(std::string name) : name_(std::move(name)) {}
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
   std::atomic<int64_t> value_{0};
   std::string name_;
@@ -154,7 +148,6 @@ class Histogram {
  private:
   friend class MetricsRegistry;
   Histogram(std::string name, std::span<const double> boundaries);
-  void Reset();
 
   struct alignas(64) Cell {
     /// One slot per bucket; sized at construction, never resized.
@@ -242,10 +235,6 @@ class MetricsRegistry {
   }
 
   MetricsSnapshot Snapshot() const SMK_EXCLUDES(mu_);
-
-  /// Zeroes every registered instrument (instruments stay registered and
-  /// pointers stay valid). Test hygiene and per-run CLI accounting only.
-  void Reset() SMK_EXCLUDES(mu_);
 
  private:
   mutable Mutex mu_;

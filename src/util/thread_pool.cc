@@ -158,10 +158,11 @@ void ThreadPool::ParallelForImpl(int64_t first, int64_t last, int64_t min_chunk,
   bulk->chunk = chunk;
   bulk->counted = counted;
   bulk->next.store(first, std::memory_order_relaxed);
-  // One helper token per worker that could usefully join (never more tokens
-  // than chunks); the caller holds one extra reference across its own
-  // participation and the completion wait.
-  const int64_t tokens = std::min<int64_t>(num_threads_, num_chunks);
+  // One helper token per worker that could usefully join. The caller runs
+  // chunks itself, so there are never more tokens than the chunks left
+  // beyond its first one. The caller holds one extra reference across its
+  // own participation and the completion wait.
+  const int64_t tokens = std::min<int64_t>(num_threads_, num_chunks - 1);
   bulk->refs.store(tokens + 1, std::memory_order_relaxed);
   // Gauge discipline: up BEFORE the tokens can be dequeued, down only AFTER
   // (WorkerLoop), so the aggregate depth never reads negative.

@@ -3,7 +3,8 @@
 //
 // ParallelFor(first, last, min_chunk, body) is the only way to run work. One
 // call allocates one shared Bulk descriptor and puts up to num_threads()
-// helper tokens that point at it on the pool's one mutex-guarded FIFO. The
+// helper tokens that point at it on the pool's one mutex-guarded FIFO, never
+// more than the number of chunks less one (the caller runs chunks too). The
 // calling thread and every worker that dequeues a token claim fixed
 // [first + k*min_chunk, ...) chunks with an atomic fetch_add until none
 // remain, and the call returns once the whole range has run. Because the

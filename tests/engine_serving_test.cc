@@ -3,15 +3,18 @@
 // The load-bearing claims under test:
 //  * Bit-identity: N concurrent sessions over one shared workload produce
 //    profiles bit-identical to the serial single-session path, at any
-//    executor width and admission limit.
+//    executor width.
 //  * Exactly-once cross-session computation: the shared source's
 //    model_invocations equals the number of DISTINCT cache keys — the same
 //    total the serial path pays — regardless of interleaving, and the
 //    injected registry mirrors it exactly.
-//  * ProfileCache: LRU hit/evict behavior and the provenance check that
-//    turns a key collision between different corpora into a miss.
-//  * Admission control: FIFO order, concurrency ceiling, and the watchdog
-//    budget that fails queued work with kUnavailable.
+//  * ProfileCache: LRU hit/evict behavior, the runtime's 16-profile
+//    capacity, and the provenance check that turns a key collision between
+//    different corpora into a miss.
+//  * Sessions run directly: concurrent sessions are never queued behind one
+//    another, and a failed model call fails its request, caches nothing and
+//    leaves the workload servable.
+//  * Runtime options: Create rejects a negative max_batch_size.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -89,6 +92,40 @@ SessionConfig FastConfig(query::AggregateFunction aggregate, uint64_t seed,
   config.profiler.early_stop = false;
   return config;
 }
+
+// Adopts UA-DETRAC scaled to `frames`, counted by `detector`, into `runtime`.
+util::Result<WorkloadHandle> AdoptDetrac(Runtime& runtime, int64_t frames,
+                                         std::unique_ptr<detect::Detector> detector) {
+  SMK_ASSIGN_OR_RETURN(video::VideoDataset dataset,
+                       video::MakePresetScaled(video::ScenePreset::kUaDetrac, frames));
+  auto owned = std::make_unique<video::VideoDataset>(std::move(dataset));
+  detect::SimYoloV4 person_detector;
+  detect::SimMtcnn face_detector;
+  SMK_ASSIGN_OR_RETURN(detect::ClassPriorIndex prior,
+                       detect::ClassPriorIndex::Build(*owned, person_detector, face_detector));
+  return runtime.AdoptWorkload("detrac", std::move(owned), std::move(detector),
+                               std::make_unique<detect::ClassPriorIndex>(std::move(prior)),
+                               video::ObjectClass::kCar);
+}
+
+// Fails its first `failures` CountBatch calls, then counts like the real
+// model.
+class FailingFirstCallsDetector : public detect::SimYoloV4 {
+ public:
+  explicit FailingFirstCallsDetector(int failures) : failures_remaining_(failures) {}
+
+  util::Status CountBatch(const video::VideoDataset& dataset,
+                          std::span<const int64_t> frame_indices, int resolution,
+                          video::ObjectClass cls, double contrast_scale,
+                          std::span<int> out) const override {
+    if (failures_remaining_.fetch_sub(1) > 0) return util::Status::Internal("inference failed");
+    return detect::SimYoloV4::CountBatch(dataset, frame_indices, resolution, cls,
+                                         contrast_scale, out);
+  }
+
+ private:
+  mutable std::atomic<int> failures_remaining_;
+};
 
 // ---------------------------------------------------------------------------
 // ProfileCache
@@ -163,17 +200,9 @@ TEST(ProfileCacheTest, ZeroCapacityDisablesCaching) {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime: options, workload sharing, admission control
+// Runtime: options, workload sharing, stores
 
 TEST(EngineRuntimeTest, CreateValidatesOptions) {
-  RuntimeOptions negative_sessions;
-  negative_sessions.max_concurrent_sessions = -1;
-  EXPECT_FALSE(Runtime::Create(negative_sessions).ok());
-
-  RuntimeOptions zero_budget;
-  zero_budget.admission_wait_budget_sec = 0.0;
-  EXPECT_FALSE(Runtime::Create(zero_budget).ok());
-
   RuntimeOptions negative_batch;
   negative_batch.max_batch_size = -1;
   EXPECT_FALSE(Runtime::Create(negative_batch).ok());
@@ -215,89 +244,6 @@ TEST(EngineRuntimeTest, SharedWorkloadMaterializesExactlyOnce) {
   EXPECT_NE(isolated->get(), handles[0].get());
   EXPECT_EQ((*isolated)->source().model_invocations(), 0);
   EXPECT_EQ((*isolated)->share_key(), handles[0]->share_key());
-}
-
-TEST(EngineRuntimeTest, AdmissionTimeoutReturnsUnavailable) {
-  util::MetricsRegistry registry;
-  RuntimeOptions options;
-  options.registry = &registry;
-  options.max_concurrent_sessions = 1;
-  options.admission_wait_budget_sec = 0.05;
-  auto runtime = Runtime::Create(options);
-  ASSERT_TRUE(runtime.ok());
-
-  auto first = (*runtime)->AdmitWork();
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ((*runtime)->active_work(), 1);
-
-  auto second = (*runtime)->AdmitWork();
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.status().code(), util::StatusCode::kUnavailable);
-  EXPECT_EQ((*runtime)->admission_timeouts(), 1);
-  EXPECT_EQ(registry.GetCounter("engine.admission.timeouts")->Value(), 1);
-
-  // Releasing the permit opens the slot again — the timed-out waiter left no
-  // ghost ticket blocking the queue.
-  { Runtime::WorkPermit released = std::move(*first); }
-  auto third = (*runtime)->AdmitWork();
-  EXPECT_TRUE(third.ok());
-}
-
-TEST(EngineRuntimeTest, AdmissionIsFifoAndBoundsConcurrency) {
-  RuntimeOptions options;
-  options.max_concurrent_sessions = 2;
-  auto runtime = Runtime::Create(options);
-  ASSERT_TRUE(runtime.ok());
-
-  constexpr int kWorkers = 12;
-  std::atomic<int> running{0};
-  std::atomic<int> peak{0};
-  std::atomic<int> admitted{0};
-  std::vector<std::thread> threads;
-  for (int i = 0; i < kWorkers; ++i) {
-    threads.emplace_back([&] {
-      auto permit = (*runtime)->AdmitWork();
-      ASSERT_TRUE(permit.ok());
-      int now = ++running;
-      int prev = peak.load();
-      while (now > prev && !peak.compare_exchange_weak(prev, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      --running;
-      ++admitted;
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(admitted.load(), kWorkers);
-  EXPECT_LE(peak.load(), 2);
-  EXPECT_EQ((*runtime)->active_work(), 0);
-}
-
-TEST(EngineRuntimeTest, AdmissionWakesWaitersInArrivalOrder) {
-  RuntimeOptions options;
-  options.max_concurrent_sessions = 1;
-  auto runtime = Runtime::Create(options);
-  ASSERT_TRUE(runtime.ok());
-
-  auto gate = (*runtime)->AdmitWork();
-  ASSERT_TRUE(gate.ok());
-
-  std::mutex order_mu;
-  std::vector<int> order;
-  std::vector<std::thread> waiters;
-  for (int i = 0; i < 3; ++i) {
-    waiters.emplace_back([&, i] {
-      auto permit = (*runtime)->AdmitWork();
-      ASSERT_TRUE(permit.ok());
-      std::lock_guard<std::mutex> lock(order_mu);
-      order.push_back(i);
-    });
-    // Stagger arrivals so the queue order is deterministic.
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  }
-  { Runtime::WorkPermit released = std::move(*gate); }
-  for (std::thread& t : waiters) t.join();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(EngineRuntimeTest, WorkloadStoreRoundTripAndBadDirectoryFailsEarly) {
@@ -392,6 +338,89 @@ TEST(EngineRuntimeTest, SaveStoreIsTimedInTheInjectedRegistry) {
   std::remove(path.c_str());
 }
 
+TEST(EngineRuntimeTest, FailedModelCallFailsTheProfileAndCachesNothing) {
+  // A model call that fails fails the session's profile with the model's
+  // error. Nothing enters the ProfileCache, and the session count comes
+  // back down. The workload stays servable: the next session generates the
+  // profile a healthy workload gives, and a third one reads it from the
+  // cache.
+  util::MetricsRegistry registry;
+  RuntimeOptions options;
+  options.registry = &registry;
+  auto runtime = Runtime::Create(options);
+  ASSERT_TRUE(runtime.ok());
+  auto workload =
+      AdoptDetrac(**runtime, 200, std::make_unique<FailingFirstCallsDetector>(/*failures=*/1));
+  ASSERT_TRUE(workload.ok());
+  const SessionConfig config = FastConfig(query::AggregateFunction::kAvg, 7);
+  {
+    auto failed = (*runtime)->StartSession(*workload, config);
+    ASSERT_TRUE(failed.ok());
+    auto profile = (*failed)->Profile(SmallGrid());
+    ASSERT_FALSE(profile.ok());
+    EXPECT_EQ(profile.status().code(), util::StatusCode::kInternal);
+    EXPECT_EQ((*failed)->profile(), nullptr);
+  }
+  EXPECT_EQ((*runtime)->profile_cache().size(), 0u);
+  EXPECT_EQ(registry.GetGauge("engine.sessions.active")->Value(), 0);
+
+  auto reference_runtime = Runtime::Create(RuntimeOptions{});
+  ASSERT_TRUE(reference_runtime.ok());
+  auto healthy = AdoptDetrac(**reference_runtime, 200, std::make_unique<detect::SimYoloV4>());
+  ASSERT_TRUE(healthy.ok());
+  auto reference_session = (*reference_runtime)->StartSession(*healthy, config);
+  ASSERT_TRUE(reference_session.ok());
+  auto reference = (*reference_session)->Profile(SmallGrid());
+  ASSERT_TRUE(reference.ok());
+
+  auto retry = (*runtime)->StartSession(*workload, config);
+  ASSERT_TRUE(retry.ok());
+  auto retried = (*retry)->Profile(SmallGrid());
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_FALSE((*retry)->last_profile_from_cache());
+  EXPECT_TRUE(ProfilesBitIdentical(**reference, **retried));
+
+  auto repeat = (*runtime)->StartSession(*workload, config);
+  ASSERT_TRUE(repeat.ok());
+  auto cached = (*repeat)->Profile(SmallGrid());
+  ASSERT_TRUE(cached.ok());
+  EXPECT_TRUE((*repeat)->last_profile_from_cache());
+  EXPECT_EQ(cached->get(), retried->get());
+  EXPECT_EQ(registry.GetCounter("engine.sessions.started")->Value(), 3);
+}
+
+TEST(EngineRuntimeTest, ProfileCacheKeepsTheSixteenMostRecentProfiles) {
+  // The runtime's ProfileCache holds 16 profiles. A 17th distinct request
+  // evicts the least recently used one, and only that one.
+  auto runtime = Runtime::Create(RuntimeOptions{});
+  ASSERT_TRUE(runtime.ok());
+  EXPECT_EQ((*runtime)->profile_cache().capacity(), 16u);
+  WorkloadDesc desc;
+  desc.preset = video::ScenePreset::kUaDetrac;
+  desc.frames = 150;
+  auto workload = (*runtime)->GetWorkload(desc);
+  ASSERT_TRUE(workload.ok());
+  degrade::InterventionSet iv;
+  iv.sample_fraction = 0.2;
+  iv.resolution = 320;
+  const std::vector<degrade::InterventionSet> grid = {iv};
+  // 1 when the profile for `seed` came from the cache, 0 when it was
+  // generated, -1 when the request failed.
+  auto from_cache = [&](uint64_t seed) {
+    auto session =
+        (*runtime)->StartSession(*workload, FastConfig(query::AggregateFunction::kAvg, seed));
+    if (!session.ok() || !(*session)->Profile(grid).ok()) return -1;
+    return (*session)->last_profile_from_cache() ? 1 : 0;
+  };
+
+  for (uint64_t seed = 1; seed <= 17; ++seed) EXPECT_EQ(from_cache(seed), 0) << "seed " << seed;
+  EXPECT_EQ((*runtime)->profile_cache().size(), 16u);
+  EXPECT_EQ((*runtime)->profile_cache().evictions(), 1);
+  EXPECT_EQ(from_cache(17), 1);
+  EXPECT_EQ(from_cache(2), 1);
+  EXPECT_EQ(from_cache(1), 0);  // The first profile was the one evicted.
+}
+
 // ---------------------------------------------------------------------------
 // Serving: concurrent sessions, bit-identity, exact accounting
 
@@ -459,7 +488,6 @@ TEST_F(ServingConcurrencyTest, SixteenSessionsBitIdenticalToSerialWithExactAccou
   EXPECT_EQ(registry.GetCounter("output_source.model_invocations")->Value(),
             serial_invocations);
   EXPECT_EQ(registry.GetCounter("engine.sessions.started")->Value(), kSessions);
-  EXPECT_EQ(registry.GetGauge("engine.admission.active_work")->Value(), 0);
 }
 
 TEST_F(ServingConcurrencyTest, CrossQuerySessionsShareRawCountComputation) {
@@ -492,43 +520,6 @@ TEST_F(ServingConcurrencyTest, CrossQuerySessionsShareRawCountComputation) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ((*workload)->source().model_invocations(), avg_invocations);
-}
-
-TEST_F(ServingConcurrencyTest, AdmissionLimitedServingStaysBitIdentical) {
-  WorkloadDesc desc;
-  desc.preset = video::ScenePreset::kUaDetrac;
-  desc.frames = 250;
-  const uint64_t kSeed = 123;
-  auto [serial_profile, serial_invocations] =
-      SerialReference(desc, query::AggregateFunction::kAvg, kSeed);
-  ASSERT_NE(serial_profile, nullptr);
-
-  RuntimeOptions options;
-  options.max_concurrent_sessions = 2;  // Force queuing under the limit.
-  auto runtime = Runtime::Create(options);
-  ASSERT_TRUE(runtime.ok());
-  auto workload = (*runtime)->GetWorkload(desc);
-  ASSERT_TRUE(workload.ok());
-
-  constexpr int kSessions = 8;
-  std::vector<core::ProfileHandle> profiles(kSessions);
-  std::vector<std::thread> threads;
-  for (int i = 0; i < kSessions; ++i) {
-    threads.emplace_back([&, i] {
-      auto session = (*runtime)->StartSession(
-          *workload, FastConfig(query::AggregateFunction::kAvg, kSeed, false));
-      ASSERT_TRUE(session.ok());
-      auto profile = (*session)->Profile(SmallGrid());
-      ASSERT_TRUE(profile.ok());
-      profiles[i] = *profile;
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (int i = 0; i < kSessions; ++i) {
-    ASSERT_NE(profiles[i], nullptr);
-    EXPECT_TRUE(ProfilesBitIdentical(*serial_profile, *profiles[i]));
-  }
-  EXPECT_EQ((*workload)->source().model_invocations(), serial_invocations);
 }
 
 TEST_F(ServingConcurrencyTest, ExecutorWidthDoesNotChangeProfiles) {
@@ -685,6 +676,92 @@ TEST_F(ServingConcurrencyTest, SessionLifecycleAndExecuteDeterminism) {
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->estimate.y_approx, b->estimate.y_approx) << "call " << call;
     EXPECT_EQ(a->estimate.err_b, b->estimate.err_b) << "call " << call;
+  }
+}
+
+// Holds every CountBatch call until `expected` calls are inside at once, or
+// 10 s pass, and records the most calls that were ever inside together.
+class RendezvousDetector : public detect::SimYoloV4 {
+ public:
+  explicit RendezvousDetector(int expected) : expected_(expected) {}
+
+  util::Status CountBatch(const video::VideoDataset& dataset,
+                          std::span<const int64_t> frame_indices, int resolution,
+                          video::ObjectClass cls, double contrast_scale,
+                          std::span<int> out) const override {
+    const int inside = inside_.fetch_add(1) + 1;
+    int peak = peak_.load();
+    while (inside > peak && !peak_.compare_exchange_weak(peak, inside)) {
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (peak_.load() < expected_ && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    util::Status status = detect::SimYoloV4::CountBatch(dataset, frame_indices, resolution, cls,
+                                                        contrast_scale, out);
+    inside_.fetch_sub(1);
+    return status;
+  }
+
+  int peak() const { return peak_.load(); }
+
+ private:
+  const int expected_;
+  mutable std::atomic<int> inside_{0};
+  mutable std::atomic<int> peak_{0};
+};
+
+TEST_F(ServingConcurrencyTest, SessionsRunConcurrentlyWithoutALimit) {
+  // Sessions run their work on the calling thread, with no admission queue
+  // in front of it: four sessions executing at once are all inside a model
+  // call together. Each executes at its own resolution, so no session waits
+  // on another's frames, and each answer equals the one a healthy workload
+  // gives the same session alone.
+  constexpr int kSessions = 4;
+  const int kResolutions[kSessions] = {320, 416, 512, 608};
+  RuntimeOptions options;
+  options.num_threads = 1;  // Every model call runs on its session's thread.
+  auto runtime = Runtime::Create(options);
+  ASSERT_TRUE(runtime.ok());
+  auto rendezvous = std::make_unique<RendezvousDetector>(kSessions);
+  const RendezvousDetector* detector = rendezvous.get();
+  auto workload = AdoptDetrac(**runtime, 300, std::move(rendezvous));
+  ASSERT_TRUE(workload.ok());
+
+  std::vector<util::Result<core::EstimationResult>> answers(
+      kSessions, util::Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kSessions; ++i) {
+    threads.emplace_back([&, i] {
+      auto session =
+          (*runtime)->StartSession(*workload, FastConfig(query::AggregateFunction::kAvg, 11));
+      if (!session.ok()) return;
+      degrade::InterventionSet iv;
+      iv.sample_fraction = 0.2;
+      iv.resolution = kResolutions[i];
+      answers[i] = (*session)->Execute(iv);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(detector->peak(), kSessions);
+
+  auto reference_runtime = Runtime::Create(RuntimeOptions{});
+  ASSERT_TRUE(reference_runtime.ok());
+  auto healthy = AdoptDetrac(**reference_runtime, 300, std::make_unique<detect::SimYoloV4>());
+  ASSERT_TRUE(healthy.ok());
+  for (int i = 0; i < kSessions; ++i) {
+    ASSERT_TRUE(answers[i].ok()) << "resolution " << kResolutions[i];
+    auto session = (*reference_runtime)
+                       ->StartSession(*healthy, FastConfig(query::AggregateFunction::kAvg, 11));
+    ASSERT_TRUE(session.ok());
+    degrade::InterventionSet iv;
+    iv.sample_fraction = 0.2;
+    iv.resolution = kResolutions[i];
+    auto alone = (*session)->Execute(iv);
+    ASSERT_TRUE(alone.ok());
+    EXPECT_EQ(answers[i]->estimate.y_approx, alone->estimate.y_approx) << kResolutions[i];
+    EXPECT_EQ(answers[i]->estimate.err_b, alone->estimate.err_b) << kResolutions[i];
+    EXPECT_EQ(answers[i]->sample_size, alone->sample_size) << kResolutions[i];
   }
 }
 

@@ -5,10 +5,14 @@
 // see counts published by other threads, contiguous ranges claim exactly
 // their own frames, exports are byte-identical whatever the request order
 // and round-trip through preload (past 2^17 frames too), rejected
-// resolutions leave no column, failed batches release their claims, a
+// resolutions leave no column, a failed model call fails its request and
+// releases its claims (a failed serial chunk stops the request there, a
+// failed pooled chunk reports the first failure by position, hits already
+// served stay tallied, and AppendOutputs leaves its column unchanged), a
 // request waiting on another thread's frames computes its own claims first
 // and re-claims what a failed owner released, the pool engages at 32 misses
-// per worker, and the retry/watchdog policy and metric mirrors.
+// per worker, and the registry mirrors the accessors, failed requests
+// included.
 
 #include "query/output_source.h"
 
@@ -21,7 +25,9 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "detect/models.h"
@@ -746,7 +752,7 @@ TEST_F(OutputSourceTest, LargeDatasetKeepsExactCountsAndAccounting) {
 }
 
 // ---------------------------------------------------------------------------
-// ComputePolicy: bounded retries and the per-batch watchdog.
+// Failed model calls: the request fails and its claims are released.
 // ---------------------------------------------------------------------------
 
 // Fails the first `failures` CountBatch invocations with a transient error,
@@ -775,26 +781,14 @@ class FlakyDetector : public detect::SimYoloV4 {
   mutable std::atomic<int> calls_{0};
 };
 
-TEST_F(OutputSourceTest, ComputePolicyValidation) {
-  ComputePolicy policy;
-  policy.max_attempts = 0;
-  EXPECT_FALSE(source_->set_compute_policy(policy).ok());
-  policy = ComputePolicy{};
-  policy.backoff_base_sec = -1.0;
-  EXPECT_FALSE(source_->set_compute_policy(policy).ok());
-  policy = ComputePolicy{};
-  policy.batch_budget_sec = -2.0;
-  EXPECT_FALSE(source_->set_compute_policy(policy).ok());
-  policy = ComputePolicy{};
-  policy.max_attempts = 3;
-  EXPECT_TRUE(source_->set_compute_policy(policy).ok());
-}
-
-TEST_F(OutputSourceTest, DefaultPolicyFailsOnFirstError) {
+TEST_F(OutputSourceTest, FailedModelCallFailsTheRequest) {
+  // One model call per chunk: a failure is not retried, it fails the
+  // request with the detector's own error.
   FlakyDetector flaky(/*failures=*/1);
   FrameOutputSource source(*dataset_, flaky, ObjectClass::kCar);
-  EXPECT_FALSE(Counts(source, {0, 1, 2}, 320).ok());
-  EXPECT_EQ(source.compute_retries(), 0);
+  auto got = Counts(source, {0, 1, 2}, 320);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), util::StatusCode::kInternal);
   EXPECT_EQ(flaky.calls(), 1);
 }
 
@@ -843,90 +837,222 @@ TEST_F(OutputSourceTest, FailedBatchesReleaseTheirClaims) {
   EXPECT_EQ(*again, *want_bytes);
 }
 
-TEST_F(OutputSourceTest, RetriesRecoverTransientFailuresBitIdentically) {
-  std::vector<int64_t> frames(100);
-  std::iota(frames.begin(), frames.end(), int64_t{0});
-  auto want = Counts(*source_, frames, 320);  // Healthy reference.
-  ASSERT_TRUE(want.ok());
+// Fails the first CountBatch call that starts at each frame of `fail_at`,
+// with an error naming that frame, and delegates every other call to the
+// real model. Pooled chunks call it from several threads at once.
+class ChunkFailingDetector : public detect::SimYoloV4 {
+ public:
+  explicit ChunkFailingDetector(std::set<int64_t> fail_at) : fail_at_(std::move(fail_at)) {}
 
-  FlakyDetector flaky(/*failures=*/2);
-  FrameOutputSource source(*dataset_, flaky, ObjectClass::kCar);
-  ComputePolicy policy;
-  policy.max_attempts = 3;
-  ASSERT_TRUE(source.set_compute_policy(policy).ok());
+  util::Status CountBatch(const video::VideoDataset& dataset,
+                          std::span<const int64_t> frame_indices, int resolution,
+                          video::ObjectClass cls, double contrast_scale,
+                          std::span<int> out) const override {
+    calls_.fetch_add(1);
+    const int64_t first = frame_indices.empty() ? -1 : frame_indices.front();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (fail_at_.erase(first) > 0) {
+        return util::Status::Internal("inference failed at frame " + std::to_string(first));
+      }
+    }
+    return detect::SimYoloV4::CountBatch(dataset, frame_indices, resolution, cls,
+                                         contrast_scale, out);
+  }
 
-  auto got = Counts(source, frames, 320);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, *want);  // A retried success is a normal success.
-  EXPECT_EQ(source.compute_retries(), 2);
-  EXPECT_EQ(flaky.calls(), 3);
-  // Accounting is unchanged by retries: one invocation per distinct key.
-  EXPECT_EQ(source.model_invocations(), static_cast<int64_t>(frames.size()));
-  EXPECT_EQ(source.watchdog_trips(), 0);
-}
+  int calls() const { return calls_.load(); }
 
-TEST_F(OutputSourceTest, ExhaustedRetriesReturnTheDetectorError) {
-  FlakyDetector flaky(/*failures=*/100);
-  FrameOutputSource source(*dataset_, flaky, ObjectClass::kCar);
-  ComputePolicy policy;
-  policy.max_attempts = 3;
-  ASSERT_TRUE(source.set_compute_policy(policy).ok());
+ private:
+  mutable std::mutex mu_;
+  mutable std::set<int64_t> fail_at_;
+  mutable std::atomic<int> calls_{0};
+};
 
-  auto got = Counts(source, {0, 1, 2}, 320);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), util::StatusCode::kInternal);  // The real error.
-  EXPECT_EQ(source.compute_retries(), 2);
-  EXPECT_EQ(flaky.calls(), 3);
-}
-
-TEST_F(OutputSourceTest, WatchdogForfeitsRetriesWhenBudgetIsSpent) {
-  FlakyDetector flaky(/*failures=*/100);
-  FrameOutputSource source(*dataset_, flaky, ObjectClass::kCar);
-  ComputePolicy policy;
-  policy.max_attempts = 10;
-  policy.batch_budget_sec = 0.0;  // Any elapsed time exceeds the budget.
-  ASSERT_TRUE(source.set_compute_policy(policy).ok());
-
-  auto got = Counts(source, {0, 1, 2}, 320);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), util::StatusCode::kUnavailable);
-  EXPECT_EQ(source.watchdog_trips(), 1);
-  // The first attempt always runs; the watchdog only forfeits RETRIES.
-  EXPECT_EQ(flaky.calls(), 1);
-  EXPECT_EQ(source.compute_retries(), 0);
-}
-
-TEST_F(OutputSourceTest, WatchdogNeverFailsASuccess) {
-  // Zero budget but a healthy detector: the first attempt succeeds and the
-  // watchdog must not turn a slow success into an error.
-  ComputePolicy policy;
-  policy.max_attempts = 10;
-  policy.batch_budget_sec = 0.0;
-  ASSERT_TRUE(source_->set_compute_policy(policy).ok());
-  auto got = Counts(*source_, {0, 1, 2}, 320);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(source_->watchdog_trips(), 0);
-}
-
-TEST_F(OutputSourceTest, RetriesWorkOnThePooledPath) {
+TEST_F(OutputSourceTest, FailedPooledChunkReportsTheFirstByPositionAndReleasesClaims) {
+  // A 300-frame cold range on a 4-wide pool runs as six 50-frame chunks.
+  // The chunks at frames 100 and 200 fail once each, in whatever order the
+  // threads reach them. The request reports the frame-100 error, the first
+  // failing chunk by position, installs nothing and releases its claims, so
+  // a second request computes the whole range itself.
   std::vector<int64_t> frames(300);
   std::iota(frames.begin(), frames.end(), int64_t{0});
   auto want = Counts(*source_, frames, 320);
   ASSERT_TRUE(want.ok());
 
-  FlakyDetector flaky(/*failures=*/3);
   util::ThreadPool pool(4);
-  FrameOutputSource source(*dataset_, flaky, ObjectClass::kCar);
-  source.set_thread_pool(&pool);  // 300 misses engage a 4-wide pool.
-  ComputePolicy policy;
-  policy.max_attempts = 5;
-  ASSERT_TRUE(source.set_compute_policy(policy).ok());
+  for (int trial = 0; trial < 50; ++trial) {
+    ChunkFailingDetector failing({100, 200});
+    FrameOutputSource source(*dataset_, failing, ObjectClass::kCar);
+    source.set_thread_pool(&pool);  // 300 misses engage a 4-wide pool.
+    source.set_max_batch_size(50);
 
-  auto got = Counts(source, frames, 320);
+    auto first = Counts(source, frames, 320);
+    ASSERT_FALSE(first.ok()) << "trial " << trial;
+    EXPECT_EQ(first.status().message(), "inference failed at frame 100") << "trial " << trial;
+    EXPECT_EQ(source.model_invocations(), 0) << "trial " << trial;
+    EXPECT_EQ(source.ExportStore().TotalEntries(), 0) << "trial " << trial;
+
+    auto second = Counts(source, frames, 320);
+    ASSERT_TRUE(second.ok()) << "trial " << trial;
+    EXPECT_EQ(*second, *want) << "trial " << trial;
+    EXPECT_EQ(source.model_invocations(), 300) << "trial " << trial;
+    EXPECT_EQ(failing.calls(), 12) << "trial " << trial;
+  }
+}
+
+TEST_F(OutputSourceTest, FailedSerialChunkStopsTheRequestAtThatChunk) {
+  // Without a pool, a 300-frame cold range runs as six 50-frame chunks in
+  // order. The chunk at frame 100 fails: the request reports its error
+  // without calling the model for the chunks after it, installs nothing
+  // and releases its claims, so a second request computes the whole range.
+  std::vector<int64_t> frames(300);
+  std::iota(frames.begin(), frames.end(), int64_t{0});
+  auto want = Counts(*source_, frames, 320);
+  ASSERT_TRUE(want.ok());
+
+  ChunkFailingDetector failing({100});
+  FrameOutputSource source(*dataset_, failing, ObjectClass::kCar);
+  source.set_max_batch_size(50);
+  auto first = Counts(source, frames, 320);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().message(), "inference failed at frame 100");
+  EXPECT_EQ(failing.calls(), 3);  // The chunks at frames 0, 50 and 100.
+  EXPECT_EQ(source.model_invocations(), 0);
+  EXPECT_EQ(source.ExportStore().TotalEntries(), 0);
+
+  auto second = Counts(source, frames, 320);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(*second, *want);
+  EXPECT_EQ(source.model_invocations(), 300);
+  EXPECT_EQ(failing.calls(), 3 + 6);
+}
+
+TEST_F(OutputSourceTest, FailedRequestKeepsTheHitsItServed) {
+  // A request over warm frames 0-2 and cold frames 50-51 serves its hits
+  // before it calls the model. When that call fails the request fails, but
+  // the hits it served stay tallied, the warm frames stay in the memo, and
+  // the cold ones are left for a later request to compute.
+  ChunkFailingDetector failing({50});
+  FrameOutputSource source(*dataset_, failing, ObjectClass::kCar);
+  ASSERT_TRUE(Counts(source, {0, 1, 2}, 320).ok());
+  ASSERT_EQ(source.model_invocations(), 3);
+
+  const std::vector<int64_t> mixed = {0, 1, 2, 50, 51};
+  EXPECT_FALSE(Counts(source, mixed, 320).ok());
+  EXPECT_EQ(source.cache_hits(), 3);
+  EXPECT_EQ(source.model_invocations(), 3);
+  EXPECT_EQ(source.ExportStore().TotalEntries(), 3);
+
+  auto got = Counts(source, mixed, 320);
+  auto want = Counts(*source_, mixed, 320);
   ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(want.ok());
   EXPECT_EQ(*got, *want);
-  EXPECT_EQ(source.compute_retries(), 3);
-  EXPECT_EQ(source.model_invocations(), static_cast<int64_t>(frames.size()));
+  EXPECT_EQ(source.cache_hits(), 3 + 3);
+  EXPECT_EQ(source.model_invocations(), 3 + 2);
+  EXPECT_EQ(failing.calls(), 3);
+}
+
+TEST_F(OutputSourceTest, AppendOutputsLeavesTheColumnUnchangedWhenTheModelFails) {
+  // A prefix-growing caller keeps its column when the model call for an
+  // extension fails, and the extension's next attempt lands exactly where a
+  // healthy run puts it.
+  QuerySpec spec;
+  spec.aggregate = AggregateFunction::kCount;
+  std::vector<int64_t> prefix(10);
+  std::iota(prefix.begin(), prefix.end(), int64_t{0});
+  std::vector<int64_t> extension(20);
+  std::iota(extension.begin(), extension.end(), int64_t{10});
+
+  OutputColumn want;
+  ASSERT_TRUE(source_->AppendOutputs(spec, prefix, 320, 1.0, want).ok());
+  ASSERT_TRUE(source_->AppendOutputs(spec, extension, 320, 1.0, want).ok());
+
+  ChunkFailingDetector failing({10});
+  FrameOutputSource source(*dataset_, failing, ObjectClass::kCar);
+  OutputColumn column;
+  ASSERT_TRUE(source.AppendOutputs(spec, prefix, 320, 1.0, column).ok());
+  const OutputColumn before = column;
+  EXPECT_FALSE(source.AppendOutputs(spec, extension, 320, 1.0, column).ok());
+  EXPECT_EQ(column.counts, before.counts);
+  EXPECT_EQ(column.outputs, before.outputs);
+
+  ASSERT_TRUE(source.AppendOutputs(spec, extension, 320, 1.0, column).ok());
+  EXPECT_EQ(column.counts, want.counts);
+  EXPECT_EQ(column.outputs, want.outputs);
+  EXPECT_EQ(source.model_invocations(), 30);
+}
+
+TEST_F(OutputSourceTest, FailedPooledRequestOverAPartlyWarmColumnReleasesOnlyItsClaims) {
+  // The general path on a 4-wide pool. Frames 0, 3, 6, ... are warm, so a
+  // request for all 400 frames serves 134 hits and claims the 266 others,
+  // which run as pooled 50-miss chunks. The chunks that start at misses 100
+  // and 200 (frames 151 and 301) fail once each. The request reports frame
+  // 151, keeps the warm frames and the hits it served, and releases only
+  // its own claims.
+  std::vector<int64_t> all(400);
+  std::iota(all.begin(), all.end(), int64_t{0});
+  std::vector<int64_t> warm;
+  for (int64_t frame = 0; frame < 400; frame += 3) warm.push_back(frame);
+  ASSERT_EQ(warm.size(), 134u);
+  auto want = Counts(*source_, all, 320);
+  ASSERT_TRUE(want.ok());
+
+  util::ThreadPool pool(4);
+  for (int trial = 0; trial < 20; ++trial) {
+    ChunkFailingDetector failing({151, 301});
+    FrameOutputSource source(*dataset_, failing, ObjectClass::kCar);
+    source.set_thread_pool(&pool);
+    source.set_max_batch_size(50);
+    ASSERT_TRUE(Counts(source, warm, 320).ok()) << "trial " << trial;
+    ASSERT_EQ(source.model_invocations(), 134) << "trial " << trial;
+
+    auto first = Counts(source, all, 320);
+    ASSERT_FALSE(first.ok()) << "trial " << trial;
+    EXPECT_EQ(first.status().message(), "inference failed at frame 151") << "trial " << trial;
+    EXPECT_EQ(source.model_invocations(), 134) << "trial " << trial;
+    EXPECT_EQ(source.cache_hits(), 134) << "trial " << trial;
+    EXPECT_EQ(source.ExportStore().TotalEntries(), 134) << "trial " << trial;
+
+    auto second = Counts(source, all, 320);
+    ASSERT_TRUE(second.ok()) << "trial " << trial;
+    EXPECT_EQ(*second, *want) << "trial " << trial;
+    EXPECT_EQ(source.model_invocations(), 400) << "trial " << trial;
+    EXPECT_EQ(source.cache_hits(), 134 + 134) << "trial " << trial;
+  }
+}
+
+TEST_F(OutputSourceTest, ConcurrentRequestsAfterAFailureComputeEachFrameOnce) {
+  // A failed request releases its 200 claims. Eight threads then ask for
+  // the same frames at once, half as the contiguous range and half in
+  // reverse order (the general path): each released frame is claimed again
+  // exactly once, and every other slot is a hit.
+  std::vector<int64_t> range(200);
+  std::iota(range.begin(), range.end(), int64_t{0});
+  const std::vector<int64_t> reversed(range.rbegin(), range.rend());
+  auto want_range = Counts(*source_, range, 320);
+  auto want_reversed = Counts(*source_, reversed, 320);
+  ASSERT_TRUE(want_range.ok());
+  ASSERT_TRUE(want_reversed.ok());
+
+  FlakyDetector flaky(/*failures=*/1);
+  FrameOutputSource source(*dataset_, flaky, ObjectClass::kCar);
+  ASSERT_FALSE(Counts(source, range, 320).ok());
+
+  constexpr int kThreads = 8;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const bool forward = t % 2 == 0;
+      auto got = Counts(source, forward ? range : reversed, 320);
+      if (!got.ok() || *got != (forward ? *want_range : *want_reversed)) wrong.fetch_add(1);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(source.model_invocations(), 200);
+  EXPECT_EQ(source.cache_hits(), (kThreads - 1) * 200);
 }
 
 // Blocks its first CountBatch call until Release() and fails calls 1 to
@@ -969,19 +1095,15 @@ void AwaitCounter(const util::Counter* counter, int64_t at_least) {
   while (counter->Value() < at_least) std::this_thread::yield();
 }
 
-TEST_F(OutputSourceTest, WaiterReclaimsAFailedOwnersFrameUnderThePolicy) {
+TEST_F(OutputSourceTest, WaiterReclaimsAFailedOwnersFrame) {
   // Request A claims {5, 6, 7} and blocks inside the model; request B wants
-  // frame 6, finds it in flight and waits. A's batch then fails both its
-  // attempts and releases its claims. B claims frame 6 itself and computes
-  // it through the same compute policy: its first attempt fails and its
-  // retry succeeds.
+  // frame 6, finds it in flight and waits. A's model call then fails and
+  // A releases its claims. B claims frame 6 itself and computes it through
+  // ComputeMisses with a model call of its own.
   util::MetricsRegistry registry;
-  GatedDetector gated(/*failures=*/3);
+  GatedDetector gated(/*failures=*/1);
   FrameOutputSource source(*dataset_, gated, ObjectClass::kCar);
   source.set_metrics_registry(&registry);
-  ComputePolicy policy;
-  policy.max_attempts = 2;
-  ASSERT_TRUE(source.set_compute_policy(policy).ok());
 
   util::Status a_status;
   util::Result<std::vector<int>> b_counts = util::Status::Internal("not run");
@@ -1000,8 +1122,7 @@ TEST_F(OutputSourceTest, WaiterReclaimsAFailedOwnersFrameUnderThePolicy) {
   EXPECT_EQ(*b_counts, std::vector<int>{*direct});
   EXPECT_EQ(source.model_invocations(), 1);
   EXPECT_EQ(source.cache_hits(), 0);
-  EXPECT_EQ(source.compute_retries(), 2);
-  EXPECT_EQ(gated.calls(), 4);
+  EXPECT_EQ(gated.calls(), 2);
 }
 
 TEST_F(OutputSourceTest, WaiterComputesItsOwnClaimsBeforeWaiting) {
@@ -1037,6 +1158,35 @@ TEST_F(OutputSourceTest, WaiterComputesItsOwnClaimsBeforeWaiting) {
   EXPECT_EQ(gated.calls(), 2);
 }
 
+TEST_F(OutputSourceTest, WaiterReclaimsAFrameAFailedScatteredOwnerReleased) {
+  // As WaiterReclaimsAFailedOwnersFrame, but request A's frames {5, 9, 13}
+  // are not contiguous, so A claims and releases them on the general path.
+  util::MetricsRegistry registry;
+  GatedDetector gated(/*failures=*/1);
+  FrameOutputSource source(*dataset_, gated, ObjectClass::kCar);
+  source.set_metrics_registry(&registry);
+
+  util::Status a_status;
+  util::Result<std::vector<int>> b_counts = util::Status::Internal("not run");
+  std::thread a([&] { a_status = Counts(source, {5, 9, 13}, 320).status(); });
+  gated.AwaitFirstCall();
+  std::thread b([&] { b_counts = Counts(source, {9}, 320); });
+  AwaitCounter(registry.GetCounter("output_source.inflight_waits"), 1);
+  gated.Release();
+  a.join();
+  b.join();
+
+  EXPECT_FALSE(a_status.ok());
+  ASSERT_TRUE(b_counts.ok()) << b_counts.status().ToString();
+  auto direct = yolo_.CountDetections(*dataset_, 9, 320, ObjectClass::kCar, 1.0);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(*b_counts, std::vector<int>{*direct});
+  EXPECT_EQ(source.model_invocations(), 1);
+  EXPECT_EQ(source.cache_hits(), 0);
+  EXPECT_EQ(gated.calls(), 2);
+  EXPECT_EQ(source.ExportStore().TotalEntries(), 1);
+}
+
 TEST_F(OutputSourceTest, PoolEngagesAtThirtyTwoMissesPerWorker) {
   // A 4-wide pool engages for a cold batch of 32 x 4 = 128 distinct misses,
   // split into max_batch_size chunks; one miss fewer runs serially and never
@@ -1064,7 +1214,7 @@ TEST_F(OutputSourceTest, PoolEngagesAtThirtyTwoMissesPerWorker) {
 // ---------------------------------------------------------------------------
 // Metrics accounting: every registry counter mirrors its accessor BIT-EXACTLY.
 // The source increments both at the same sites, so the invariant must hold at
-// any thread count, on any path (serial hit/miss, pooled miss-batches, retry).
+// any thread count, on any path (serial hit/miss, pooled miss-batches).
 // ---------------------------------------------------------------------------
 
 TEST_F(OutputSourceTest, MetricsMirrorAccessorsSingleThreaded) {
@@ -1085,8 +1235,6 @@ TEST_F(OutputSourceTest, MetricsMirrorAccessorsSingleThreaded) {
   EXPECT_EQ(snapshot.counter("output_source.model_invocations"),
             source.model_invocations());
   EXPECT_EQ(snapshot.counter("output_source.cache_hits"), source.cache_hits());
-  EXPECT_EQ(snapshot.counter("output_source.compute_retries"), source.compute_retries());
-  EXPECT_EQ(snapshot.counter("output_source.watchdog_trips"), source.watchdog_trips());
   EXPECT_GT(source.model_invocations(), 0);
   EXPECT_GT(source.cache_hits(), 0);
 }
@@ -1121,42 +1269,9 @@ TEST_F(OutputSourceTest, MetricsMirrorAccessorsAtEightThreads) {
   EXPECT_EQ(snapshot.counter("output_source.model_invocations"),
             source.model_invocations());
   EXPECT_EQ(snapshot.counter("output_source.cache_hits"), source.cache_hits());
-  EXPECT_EQ(snapshot.counter("output_source.compute_retries"), source.compute_retries());
-  EXPECT_EQ(snapshot.counter("output_source.watchdog_trips"), source.watchdog_trips());
   // Sanity: the workload exercised both sides of the cache.
   EXPECT_EQ(source.model_invocations(), (kThreads - 1) * kStride + kWindow);
   EXPECT_GT(source.cache_hits(), 0);
-}
-
-TEST_F(OutputSourceTest, MetricsMirrorRetryAndWatchdogCounters) {
-  util::MetricsRegistry registry;
-  FlakyDetector flaky(/*failures=*/2);
-  FrameOutputSource source(*dataset_, flaky, ObjectClass::kCar);
-  source.set_metrics_registry(&registry);
-  ComputePolicy policy;
-  policy.max_attempts = 3;
-  ASSERT_TRUE(source.set_compute_policy(policy).ok());
-  ASSERT_TRUE(Counts(source, {0, 1, 2}, 320).ok());
-
-  util::MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.counter("output_source.compute_retries"), source.compute_retries());
-  EXPECT_EQ(source.compute_retries(), 2);
-  EXPECT_EQ(snapshot.counter("output_source.model_invocations"),
-            source.model_invocations());
-
-  // Watchdog path, same invariant.
-  util::MetricsRegistry wd_registry;
-  FlakyDetector always_down(/*failures=*/100);
-  FrameOutputSource wd_source(*dataset_, always_down, ObjectClass::kCar);
-  wd_source.set_metrics_registry(&wd_registry);
-  ComputePolicy wd_policy;
-  wd_policy.max_attempts = 10;
-  wd_policy.batch_budget_sec = 0.0;
-  ASSERT_TRUE(wd_source.set_compute_policy(wd_policy).ok());
-  ASSERT_FALSE(Counts(wd_source, {0, 1, 2}, 320).ok());
-  EXPECT_EQ(wd_registry.Snapshot().counter("output_source.watchdog_trips"),
-            wd_source.watchdog_trips());
-  EXPECT_EQ(wd_source.watchdog_trips(), 1);
 }
 
 TEST_F(OutputSourceTest, MetricsBatchHistogramCountsMissBatches) {
@@ -1178,6 +1293,38 @@ TEST_F(OutputSourceTest, MetricsBatchHistogramCountsMissBatches) {
   EXPECT_EQ(miss_batch->count, 2);
   EXPECT_DOUBLE_EQ(miss_batch->sum, 6.0);
   EXPECT_EQ(snapshot.counter("output_source.model_invocations"), 6);
+}
+
+TEST_F(OutputSourceTest, MetricsMirrorAccessorsAcrossFailedRequests) {
+  // A failed request adds no invocation and observes no miss batch, on the
+  // general path and the contiguous one; the hits it served before failing
+  // are counted in the registry as in the accessor.
+  util::MetricsRegistry registry;
+  ChunkFailingDetector failing({10, 40});
+  FrameOutputSource source(*dataset_, failing, ObjectClass::kCar);
+  source.set_metrics_registry(&registry);
+  std::vector<int64_t> range(20);
+  std::iota(range.begin(), range.end(), int64_t{40});
+
+  ASSERT_TRUE(Counts(source, {0, 1, 2, 3}, 320).ok());       // 4 misses.
+  EXPECT_FALSE(Counts(source, {0, 1, 10, 11}, 320).ok());    // 2 hits, then fails.
+  EXPECT_FALSE(Counts(source, range, 320).ok());             // Cold range fails.
+  ASSERT_TRUE(Counts(source, {0, 1, 10, 11}, 320).ok());     // 2 hits, 2 misses.
+  ASSERT_TRUE(Counts(source, range, 320).ok());              // 20 misses.
+
+  util::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(source.model_invocations(), 4 + 2 + 20);
+  EXPECT_EQ(source.cache_hits(), 2 + 2);
+  EXPECT_EQ(snapshot.counter("output_source.model_invocations"), source.model_invocations());
+  EXPECT_EQ(snapshot.counter("output_source.cache_hits"), source.cache_hits());
+  const util::HistogramSnapshot* miss_batch = nullptr;
+  for (const util::HistogramSnapshot& h : snapshot.histograms) {
+    if (h.name == "output_source.miss_batch.frames") miss_batch = &h;
+  }
+  ASSERT_NE(miss_batch, nullptr);
+  EXPECT_EQ(miss_batch->count, 3);
+  EXPECT_DOUBLE_EQ(miss_batch->sum, 4.0 + 2.0 + 20.0);
+  EXPECT_EQ(failing.calls(), 5);
 }
 
 }  // namespace

@@ -170,20 +170,31 @@ TEST(RegistryTest, SnapshotIsNameSortedAndComplete) {
   EXPECT_EQ(snapshot.counter("never.registered"), 0);
 }
 
-TEST(RegistryTest, ResetZeroesButKeepsInstruments) {
+TEST(RegistryTest, SnapshotsAreFrozenSoDeltasMeasureOneRun) {
+  // Counters only go up, so a caller measures one run as the difference of
+  // two snapshots. Taking a snapshot disturbs no instrument, and a snapshot
+  // keeps its values when the instruments move on.
   MetricsRegistry registry;
-  Counter* c = registry.GetCounter("c");
-  Gauge* g = registry.GetGauge("g");
-  Histogram* h = registry.GetHistogram("h", std::vector<double>{1.0});
+  Counter* c = registry.GetCounter("run.calls");
+  Histogram* h = registry.GetHistogram("run.frames", std::vector<double>{10.0});
+  c->Add(7);
+  h->Observe(4.0);
+  const MetricsSnapshot before = registry.Snapshot();
   c->Add(5);
-  g->Set(5);
-  h->Observe(0.5);
-  registry.Reset();
-  EXPECT_EQ(c->Value(), 0);
-  EXPECT_EQ(g->Value(), 0);
-  EXPECT_EQ(h->TotalCount(), 0);
-  EXPECT_DOUBLE_EQ(h->Sum(), 0.0);
-  EXPECT_EQ(registry.GetCounter("c"), c);  // Pointer stability across Reset.
+  h->Observe(20.0);
+  h->Observe(2.0);
+  const MetricsSnapshot after = registry.Snapshot();
+
+  EXPECT_EQ(before.counter("run.calls"), 7);
+  EXPECT_EQ(after.counter("run.calls") - before.counter("run.calls"), 5);
+  EXPECT_EQ(c->Value(), 12);
+  ASSERT_EQ(before.histograms.size(), 1u);
+  ASSERT_EQ(after.histograms.size(), 1u);
+  EXPECT_EQ(before.histograms[0].count, 1);
+  EXPECT_EQ(before.histograms[0].buckets, (std::vector<int64_t>{1, 0}));
+  EXPECT_EQ(after.histograms[0].count - before.histograms[0].count, 2);
+  EXPECT_DOUBLE_EQ(after.histograms[0].sum - before.histograms[0].sum, 22.0);
+  EXPECT_EQ(after.histograms[0].buckets, (std::vector<int64_t>{2, 1}));
 }
 
 TEST(RegistryTest, DefaultIsAStableSingleton) {

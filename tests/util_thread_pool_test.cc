@@ -175,6 +175,30 @@ TEST(ParallelForTest, EmptyAndUndersizedRanges) {
   EXPECT_EQ(sum.load(), 3);  // One chunk covering the whole short range.
 }
 
+TEST(ParallelForTest, SingleChunkRunsOnTheCallerAndQueuesNoToken) {
+  // A range that fits one chunk leaves nothing for a worker: the caller
+  // runs the chunk itself, no helper token is queued, and the chunk still
+  // counts once in tasks_run.
+  MetricsRegistry registry;
+  const Gauge* depth = registry.GetGauge("thread_pool.queue_depth");
+  ThreadPool pool(4);
+  pool.set_metrics_registry(&registry);
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::vector<std::pair<int64_t, int64_t>> expected = {{0, 10}};
+  for (int call = 0; call < 100; ++call) {
+    std::vector<std::pair<int64_t, int64_t>> chunks;  // Plain: runs on the caller.
+    std::thread::id ran_on;
+    pool.ParallelFor(0, 10, 16, [&](int64_t begin, int64_t end) {
+      chunks.emplace_back(begin, end);
+      ran_on = std::this_thread::get_id();
+    });
+    ASSERT_EQ(chunks, expected) << "call " << call;
+    ASSERT_EQ(ran_on, caller) << "call " << call;
+    ASSERT_EQ(depth->Value(), 0) << "call " << call;
+  }
+  EXPECT_EQ(registry.Snapshot().counter("thread_pool.tasks_run"), 100);
+}
+
 TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {
   // A body that calls ParallelFor on the SAME pool must not deadlock: from a
   // worker thread the nested loop runs inline and serially. This is what
@@ -298,8 +322,10 @@ TEST(ThreadPoolTest, ParkedWorkerWakesForParallelFor) {
 TEST(ThreadPoolTest, QueueDepthGaugeNeverGoesNegative) {
   // The gauge is incremented BEFORE a helper token becomes dequeuable and
   // decremented only AFTER it is dequeued, so a concurrent sampler must
-  // never observe a negative depth. Tokens the caller did not need may
-  // still be queued when ParallelFor returns; a destroyed pool has drained
+  // never observe a negative depth. A call queues no more tokens than it
+  // has chunks beyond the caller's first, but a token may still be queued
+  // when ParallelFor returns if the caller and the awake workers ran every
+  // chunk before a parked worker woke for it. A destroyed pool has drained
   // them all, so the depth then reads 0.
   MetricsRegistry registry;
   Gauge* depth = registry.GetGauge("thread_pool.queue_depth");
@@ -330,9 +356,34 @@ TEST(ThreadPoolTest, QueueDepthGaugeNeverGoesNegative) {
   EXPECT_EQ(registry.Snapshot().counter("thread_pool.tasks_run"), 20 * 32);
 }
 
+TEST(ThreadPoolTest, TwoChunkCallLeavesNoTokenQueued) {
+  // The caller runs one chunk itself, so a 2-chunk call queues exactly one
+  // helper token. Each chunk waits for the other one to start, so a worker
+  // has dequeued that token before the call returns, and the depth gauge
+  // reads 0 after every call. A token beyond the chunks the workers can use
+  // would stay queued and keep the gauge above 0.
+  MetricsRegistry registry;
+  const Gauge* depth = registry.GetGauge("thread_pool.queue_depth");
+  ThreadPool pool(4);
+  pool.set_metrics_registry(&registry);
+  for (int call = 0; call < 200; ++call) {
+    std::atomic<int> started{0};
+    pool.ParallelFor(0, 2, 1, [&started](int64_t, int64_t) {
+      started.fetch_add(1);
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    });
+    ASSERT_EQ(started.load(), 2) << "call " << call;
+    ASSERT_EQ(depth->Value(), 0) << "call " << call;
+  }
+}
+
 TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  // The caller often finishes every chunk before a worker wakes for its
-  // helper token, so ParallelFor returns with tokens still queued.
+  // A 4-chunk call queues three helper tokens, and the caller often
+  // finishes every chunk before a worker wakes for one, so ParallelFor
+  // returns with tokens still queued; their wake-ups are already signalled.
   // Destroying the pool right then must still drain them: the depth gauge
   // returns to 0, and each token's reference to its call's descriptor is
   // dropped.
