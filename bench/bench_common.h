@@ -100,11 +100,10 @@ struct TrialAverages {
 /// of main() and the process-wide metrics registry is exported when the
 /// bench exits its scope. The export path comes from a "--metrics-out <p>"
 /// pair, which the constructor STRIPS from (argc, argv) so each bench's own
-/// flag parser never sees it, or from $SMOKESCREEN_METRICS_OUT when the flag
-/// is absent. No path -> no export, zero overhead beyond the instruments the
-/// bench already drives. A path ending in ".csv" exports the flat CSV form;
-/// anything else gets the JSON snapshot (both written atomically through the
-/// Env seam).
+/// flag parser never sees it. No path -> no export, zero overhead beyond the
+/// instruments the bench already drives. A path ending in ".csv" exports the
+/// flat CSV form; anything else gets the JSON snapshot (both written
+/// atomically through the Env seam).
 class MetricsDumpGuard {
  public:
   MetricsDumpGuard(int& argc, char** argv) {
@@ -115,10 +114,6 @@ class MetricsDumpGuard {
         argc -= 2;
         break;
       }
-    }
-    if (path_.empty()) {
-      const char* env_path = std::getenv("SMOKESCREEN_METRICS_OUT");
-      if (env_path != nullptr) path_ = env_path;
     }
   }
 

@@ -77,7 +77,7 @@ struct RateResult {
 
 int main(int argc, char** argv) {
   // Exports the metrics registry at exit when --metrics-out <path> (stripped
-  // here) or $SMOKESCREEN_METRICS_OUT is set.
+  // here) is given.
   bench::MetricsDumpGuard metrics_guard(argc, argv);
   int64_t frames = 1200;
   int64_t rounds = 80;

@@ -2,11 +2,11 @@
 //
 // §5.3.1 shows profile time is dominated by model invocations over the
 // intervention hypercube. The hypercube groups are fully independent, so
-// Profiler::Generate dispatches one task per group onto util::ThreadPool.
-// This bench sweeps thread counts on both presets and records the speedup
-// trajectory, verifying that every thread count produces BIT-IDENTICAL
-// profile points (per-group RNG streams make the result independent of
-// scheduling).
+// Profiler::Generate dispatches one task per group onto the util::ThreadPool
+// of the output source it reads. This bench gives the source a pool of each
+// swept width on both presets and records the speedup trajectory, verifying
+// that every thread count produces BIT-IDENTICAL profile points (per-group
+// RNG streams make the result independent of scheduling).
 //
 // The simulated detectors are orders of magnitude cheaper than real GPU
 // inference (the paper extrapolates 30 ms/frame), so a pure-CPU sweep would
@@ -31,6 +31,7 @@
 #include "core/profiler.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace smokescreen;
@@ -145,12 +146,14 @@ int main(int argc, char** argv) {
     std::vector<core::ProfilePoint> baseline;
     std::vector<SweepPoint> sweep;
     for (int threads : thread_counts) {
-      // Fresh output source per run: each run pays the full model cost.
+      // Fresh output source per run: each run pays the full model cost. The
+      // profiler walks its groups on the source's pool.
+      util::ThreadPool pool(threads);
       query::FrameOutputSource source(*wl.dataset, model, video::ObjectClass::kCar);
+      source.set_thread_pool(&pool);
       core::ProfilerOptions opts;
       opts.use_correction_set = false;
       opts.early_stop = false;
-      opts.num_threads = threads;
       core::Profiler profiler(source, *wl.prior, spec, opts);
       stats::Rng rng(4242);
 

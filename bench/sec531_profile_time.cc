@@ -31,8 +31,8 @@
 using namespace smokescreen;
 
 int main(int argc, char** argv) {
-  // Strips --metrics-out <path> (or honors $SMOKESCREEN_METRICS_OUT) and
-  // exports the metrics registry when main returns.
+  // Strips --metrics-out <path> and exports the metrics registry when main
+  // returns.
   bench::MetricsDumpGuard metrics_guard(argc, argv);
   int threads = 1;  // Serial by default: the paper's timing is single-stream.
   int64_t batch_size = 0;

@@ -44,11 +44,13 @@
 //                      the snapshot's output_source.* counters equal the
 //                      printed "accounting:" line exactly
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -288,12 +290,16 @@ int Run(Flags flags) {
                 (*workload)->dataset().name().c_str(),
                 static_cast<long long>((*workload)->dataset().num_frames()));
 
+    // The stage report of a session whose profile was generated; empty when
+    // every client was served from the profile cache.
+    std::optional<core::ProfilerReport> report;
     if (flags.clients > 1) {
       // Serving mode: N concurrent sessions ask for the same profile over
       // the shared workload. The memo cache dedups misses across sessions
       // (exactly-once) and every client must get the bit-identical answer.
       std::vector<core::ProfileHandle> handles(flags.clients);
       std::vector<int> from_cache(flags.clients, 0);
+      std::vector<core::ProfilerReport> reports(flags.clients);
       std::vector<std::thread> clients;
       clients.reserve(flags.clients);
       for (int c = 0; c < flags.clients; ++c) {
@@ -304,6 +310,7 @@ int Run(Flags flags) {
           handle.status().CheckOk();
           handles[c] = *handle;
           from_cache[c] = (*client_session)->last_profile_from_cache() ? 1 : 0;
+          reports[c] = (*client_session)->last_report();
         });
       }
       for (std::thread& t : clients) t.join();
@@ -320,22 +327,29 @@ int Run(Flags flags) {
         return 3;
       }
       profile = handles[0];
+      // Only the clients profiled; report the first one that generated.
+      auto generator = std::find(from_cache.begin(), from_cache.end(), 0);
+      if (generator != from_cache.end()) report = reports[generator - from_cache.begin()];
     } else {
       auto generated = (*session)->Profile(*grid);
       generated.status().CheckOk();
       profile = *generated;
+      report = (*session)->last_report();
     }
-    const core::ProfilerReport& report = (*session)->last_report();
     std::printf("generated %zu profile points (%lld model invocations)\n",
                 profile->points.size(),
                 static_cast<long long>((*workload)->source().model_invocations()));
-    std::printf(
-        "profiling stages: correction %.3fs, hypercube %.3fs, total %.3fs\n"
-        "  (%d threads, %lld groups, %lld invocations, %lld cache hits)\n",
-        report.correction_seconds, report.groups_seconds, report.total_seconds,
-        report.num_threads, static_cast<long long>(report.num_groups),
-        static_cast<long long>(report.model_invocations),
-        static_cast<long long>(report.cache_hits));
+    if (report.has_value()) {
+      std::printf(
+          "profiling stages: correction %.3fs, hypercube %.3fs, total %.3fs\n"
+          "  (%d threads, %lld groups, %lld invocations, %lld cache hits)\n",
+          report->correction_seconds, report->groups_seconds, report->total_seconds,
+          report->num_threads, static_cast<long long>(report->num_groups),
+          static_cast<long long>(report->model_invocations),
+          static_cast<long long>(report->cache_hits));
+    } else {
+      std::printf("profiling stages: every client was served from the profile cache\n");
+    }
     if (!flags.profile_out.empty()) {
       core::SaveProfile(*profile, flags.profile_out).CheckOk();
       std::printf("profile saved to %s\n", flags.profile_out.c_str());

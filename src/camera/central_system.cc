@@ -53,13 +53,14 @@ Status PartialPolicy::Validate() const {
   return Status::OK();
 }
 
-void CentralSystem::BindMetrics(util::MetricsRegistry* registry) {
-  if (registry == nullptr) registry = &util::MetricsRegistry::Default();
-  metrics_.batches_ingested = registry->GetCounter("central_system.batches_ingested");
-  metrics_.ingest_failures = registry->GetCounter("central_system.ingest_failures");
-  metrics_.ingest_rejected = registry->GetCounter("central_system.ingest_rejected");
-  metrics_.breaker_trips = registry->GetCounter("central_system.breaker_trips");
-  metrics_.breakers_open = registry->GetGauge("central_system.breakers_open");
+CentralSystem::CentralSystem(const query::QuerySpec& spec, double delta)
+    : mu_(std::make_unique<util::Mutex>()), spec_(spec), delta_(delta) {
+  util::MetricsRegistry& registry = util::MetricsRegistry::Default();
+  metrics_.batches_ingested = registry.GetCounter("central_system.batches_ingested");
+  metrics_.ingest_failures = registry.GetCounter("central_system.ingest_failures");
+  metrics_.ingest_rejected = registry.GetCounter("central_system.ingest_rejected");
+  metrics_.breaker_trips = registry.GetCounter("central_system.breaker_trips");
+  metrics_.breakers_open = registry.GetGauge("central_system.breakers_open");
 }
 
 Result<CentralSystem> CentralSystem::Create(const query::QuerySpec& spec, double delta) {

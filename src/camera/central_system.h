@@ -183,20 +183,10 @@ class CentralSystem {
   util::Result<core::CombinedEstimate> CityWideEstimate(const PartialPolicy& policy) const
       SMK_EXCLUDES(*mu_);
 
-  /// Re-points the central_system.* instruments (ingest counters, breaker
-  /// trip counter, open-breakers gauge) at `registry`; nullptr restores
-  /// util::MetricsRegistry::Default(). Bind before the first Ingest(); the
-  /// gauge tracks transitions, so rebinding mid-flight would strand its
-  /// level in the old registry.
-  void set_metrics_registry(util::MetricsRegistry* registry) { BindMetrics(registry); }
-
  private:
-  CentralSystem(const query::QuerySpec& spec, double delta)
-      : mu_(std::make_unique<util::Mutex>()), spec_(spec), delta_(delta) {
-    BindMetrics(nullptr);
-  }
-
-  void BindMetrics(util::MetricsRegistry* registry);
+  /// Binds the central_system.* instruments (ingest counters, breaker trip
+  /// counter, open-breakers gauge) to util::MetricsRegistry::Default().
+  CentralSystem(const query::QuerySpec& spec, double delta);
 
   struct Feed {
     const Camera* cam = nullptr;

@@ -24,47 +24,38 @@ Result<NetworkLink> NetworkLink::Create(NetworkLinkConfig config) {
   return NetworkLink(config);
 }
 
-void NetworkLink::BindMetrics(util::MetricsRegistry* registry) {
-  if (registry == nullptr) registry = &util::MetricsRegistry::Default();
-  metrics_.frames = registry->GetCounter("network_link.frames");
-  metrics_.bytes = registry->GetCounter("network_link.bytes");
-  metrics_.retransmitted_frames = registry->GetCounter("network_link.retransmitted_frames");
-  metrics_.retransmitted_bytes = registry->GetCounter("network_link.retransmitted_bytes");
-}
+NetworkLink::Tallies::Tallies(util::MetricsRegistry& registry)
+    : frames(registry.GetCounter("network_link.frames")),
+      bytes(registry.GetCounter("network_link.bytes")),
+      retransmitted_frames(registry.GetCounter("network_link.retransmitted_frames")),
+      retransmitted_bytes(registry.GetCounter("network_link.retransmitted_bytes")) {}
+
+NetworkLink::NetworkLink(NetworkLinkConfig config)
+    : config_(config),
+      tallies_(std::make_unique<Tallies>(util::MetricsRegistry::Default())) {}
 
 void NetworkLink::TransmitFrame(int64_t bytes, bool is_retransmission) {
-  total_bytes_ += bytes;
-  ++total_frames_;
-  metrics_.frames->Increment();
-  metrics_.bytes->Add(bytes);
+  tallies_->frames.Increment();
+  tallies_->bytes.Add(bytes);
   if (is_retransmission) {
-    retransmitted_bytes_ += bytes;
-    ++retransmitted_frames_;
-    metrics_.retransmitted_frames->Increment();
-    metrics_.retransmitted_bytes->Add(bytes);
+    tallies_->retransmitted_frames.Increment();
+    tallies_->retransmitted_bytes.Add(bytes);
   }
 }
 
 double NetworkLink::BusySeconds() const {
   if (config_.bandwidth_bytes_per_sec <= 0.0) return 0.0;
-  return static_cast<double>(total_bytes_) / config_.bandwidth_bytes_per_sec;
+  return static_cast<double>(total_bytes()) / config_.bandwidth_bytes_per_sec;
 }
 
 double NetworkLink::EnergyJoules() const {
-  return static_cast<double>(total_bytes_) * config_.energy_joules_per_byte +
-         static_cast<double>(total_frames_) * config_.energy_joules_per_frame;
+  return static_cast<double>(total_bytes()) * config_.energy_joules_per_byte +
+         static_cast<double>(total_frames()) * config_.energy_joules_per_frame;
 }
 
 double NetworkLink::RetransmitEnergyJoules() const {
-  return static_cast<double>(retransmitted_bytes_) * config_.energy_joules_per_byte +
-         static_cast<double>(retransmitted_frames_) * config_.energy_joules_per_frame;
-}
-
-void NetworkLink::Reset() {
-  total_bytes_ = 0;
-  total_frames_ = 0;
-  retransmitted_bytes_ = 0;
-  retransmitted_frames_ = 0;
+  return static_cast<double>(retransmitted_bytes()) * config_.energy_joules_per_byte +
+         static_cast<double>(retransmitted_frames()) * config_.energy_joules_per_frame;
 }
 
 }  // namespace camera

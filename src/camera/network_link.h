@@ -12,6 +12,7 @@
 #define SMOKESCREEN_CAMERA_NETWORK_LINK_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "util/metrics.h"
 #include "util/status.h"
@@ -40,17 +41,19 @@ class NetworkLink {
 
   /// Legacy unchecked constructor (kept for call sites that build from
   /// compile-time-known configs); garbage in, garbage accounting out.
-  explicit NetworkLink(NetworkLinkConfig config) : config_(config) { BindMetrics(nullptr); }
+  explicit NetworkLink(NetworkLinkConfig config);
 
   /// Records the transmission of one frame of `bytes` bytes. When
   /// `is_retransmission` is set, the frame additionally counts toward the
   /// retransmission tallies (it is always part of the totals).
   void TransmitFrame(int64_t bytes, bool is_retransmission = false);
 
-  int64_t total_bytes() const { return total_bytes_; }
-  int64_t total_frames() const { return total_frames_; }
-  int64_t retransmitted_bytes() const { return retransmitted_bytes_; }
-  int64_t retransmitted_frames() const { return retransmitted_frames_; }
+  /// This link's tallies. Each also lands in the default registry's
+  /// network_link.* counter of the same fact, which sums every link.
+  int64_t total_bytes() const { return tallies_->bytes.Value(); }
+  int64_t total_frames() const { return tallies_->frames.Value(); }
+  int64_t retransmitted_bytes() const { return tallies_->retransmitted_bytes.Value(); }
+  int64_t retransmitted_frames() const { return tallies_->retransmitted_frames.Value(); }
 
   /// Time the link spends busy, at the configured bandwidth.
   double BusySeconds() const;
@@ -62,32 +65,19 @@ class NetworkLink {
   /// retry policy buys its delivered-sample fraction with).
   double RetransmitEnergyJoules() const;
 
-  /// Zeroes this link's per-run tallies. The registry's network_link.*
-  /// counters are NOT reset — they are cumulative across every link bound to
-  /// the registry (monotonic, like all counters).
-  void Reset();
-
-  /// Re-points the network_link.* counters at `registry`; nullptr restores
-  /// util::MetricsRegistry::Default(). Bind before the first TransmitFrame().
-  void set_metrics_registry(util::MetricsRegistry* registry) { BindMetrics(registry); }
-
  private:
-  void BindMetrics(util::MetricsRegistry* registry);
-
-  /// Registry-bound instruments (never null after construction).
-  struct Instruments {
-    util::Counter* frames = nullptr;
-    util::Counter* bytes = nullptr;
-    util::Counter* retransmitted_frames = nullptr;
-    util::Counter* retransmitted_bytes = nullptr;
+  struct Tallies {
+    explicit Tallies(util::MetricsRegistry& registry);
+    util::Counter frames;
+    util::Counter bytes;
+    util::Counter retransmitted_frames;
+    util::Counter retransmitted_bytes;
   };
-  Instruments metrics_;
 
   NetworkLinkConfig config_;
-  int64_t total_bytes_ = 0;
-  int64_t total_frames_ = 0;
-  int64_t retransmitted_bytes_ = 0;
-  int64_t retransmitted_frames_ = 0;
+  /// Held through a pointer so the link stays movable (Create returns it by
+  /// value inside a Result).
+  std::unique_ptr<Tallies> tallies_;
 };
 
 }  // namespace camera

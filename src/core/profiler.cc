@@ -29,18 +29,12 @@ ProfileHandle MakeProfileHandle(Profile profile) {
 Profiler::Profiler(query::FrameOutputSource& source, const detect::ClassPriorIndex& prior,
                    query::QuerySpec spec, ProfilerOptions options)
     : source_(source), prior_(prior), spec_(spec), options_(options) {
-  BindMetrics(nullptr);
+  util::MetricsRegistry& registry = source_.registry();
+  metrics_.correction_seconds = registry.GetStageHistogram("profiler.stage.correction.seconds");
+  metrics_.groups_seconds = registry.GetStageHistogram("profiler.stage.groups.seconds");
+  metrics_.total_seconds = registry.GetStageHistogram("profiler.stage.total.seconds");
+  metrics_.generate_calls = registry.GetCounter("profiler.generate_calls");
 }
-
-void Profiler::BindMetrics(util::MetricsRegistry* registry) {
-  if (registry == nullptr) registry = &util::MetricsRegistry::Default();
-  metrics_.correction_seconds = registry->GetStageHistogram("profiler.stage.correction.seconds");
-  metrics_.groups_seconds = registry->GetStageHistogram("profiler.stage.groups.seconds");
-  metrics_.total_seconds = registry->GetStageHistogram("profiler.stage.total.seconds");
-  metrics_.generate_calls = registry->GetCounter("profiler.generate_calls");
-}
-
-void Profiler::set_metrics_registry(util::MetricsRegistry* registry) { BindMetrics(registry); }
 
 namespace {
 
@@ -223,31 +217,27 @@ Result<Profile> Profiler::Generate(const std::vector<InterventionSet>& candidate
   std::vector<GroupResult> results(ordered.size());
 
   util::ScopedSpan groups_span(metrics_.groups_seconds);
-  {
-    // ParallelFor is synchronous over exactly THIS call's groups, so an
-    // injected pool (the serving layer's shared executor) needs no private
-    // completion latch: the calling session thread participates in its own
-    // chunks and returns when they are done, never waiting on other
-    // sessions' work. A Generate running ON a pool worker (nested) runs the
-    // group loop inline — same results, no pool-against-itself deadlock.
-    util::ThreadPool* pool = pool_;
-    std::unique_ptr<util::ThreadPool> owned_pool;
-    if (pool == nullptr) {
-      owned_pool = std::make_unique<util::ThreadPool>(options_.num_threads);
-      pool = owned_pool.get();
+  auto walk = [this, &ordered, &results, profile_seed, model_max, original_population](
+                  int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      results[i].status = GenerateGroupPoints(source_, prior_, spec_, options_, correction_set_,
+                                              *ordered[i].first, *ordered[i].second,
+                                              profile_seed, model_max, original_population,
+                                              &results[i].points);
     }
-    report_.num_threads = pool->num_threads();
-
-    pool->ParallelFor(0, static_cast<int64_t>(ordered.size()), 1,
-                      [this, &ordered, &results, profile_seed, model_max,
-                       original_population](int64_t begin, int64_t end) {
-                        for (int64_t i = begin; i < end; ++i) {
-                          results[i].status = GenerateGroupPoints(
-                              source_, prior_, spec_, options_, correction_set_,
-                              *ordered[i].first, *ordered[i].second, profile_seed,
-                              model_max, original_population, &results[i].points);
-                        }
-                      });
+  };
+  // The walk runs on the source's pool, which may be the serving layer's
+  // shared executor. ParallelFor is synchronous over exactly THIS call's
+  // groups: the calling thread works on its own chunks and returns when
+  // they are done, never waiting on other sessions' work, and a Generate
+  // running ON a pool worker runs the group loop inline.
+  const int64_t num_groups = static_cast<int64_t>(ordered.size());
+  util::ThreadPool* pool = source_.thread_pool();
+  report_.num_threads = pool != nullptr ? pool->num_threads() : 1;
+  if (pool != nullptr) {
+    pool->ParallelFor(0, num_groups, 1, walk);
+  } else {
+    walk(0, num_groups);
   }
   report_.groups_seconds = groups_span.Stop();
 
@@ -256,7 +246,7 @@ Result<Profile> Profiler::Generate(const std::vector<InterventionSet>& candidate
     for (ProfilePoint& point : result.points) profile.points.push_back(point);
   }
 
-  report_.num_groups = static_cast<int64_t>(ordered.size());
+  report_.num_groups = num_groups;
   report_.model_invocations = source_.model_invocations() - invocations_before;
   report_.cache_hits = source_.cache_hits() - hits_before;
   report_.total_seconds = total_span.Stop();

@@ -13,9 +13,10 @@
 //    interpolates the missing values;
 //  * PARALLELISM — hypercube groups are fully independent (each has its own
 //    frame permutation and prefix-reuse chain), so Generate() dispatches one
-//    task per group onto a util::ThreadPool. Each group draws its
+//    task per group onto the util::ThreadPool of the FrameOutputSource it
+//    reads (serially when the source has none). Each group draws its
 //    permutation from an RNG stream seeded by (profile seed, group key), so
-//    the profile is bit-identical at every ProfilerOptions::num_threads.
+//    the profile is bit-identical at every pool width.
 // Non-random candidates are repaired with the correction set (§3.2.5); for
 // purely random candidates the tighter of the raw and repaired bounds is
 // kept.
@@ -38,9 +39,6 @@
 #include "util/status.h"
 
 namespace smokescreen {
-namespace util {
-class ThreadPool;
-}  // namespace util
 namespace core {
 
 struct ProfilePoint {
@@ -89,12 +87,6 @@ struct ProfilerOptions {
   bool early_stop = true;
   /// Minimum bound improvement per fraction step to keep going.
   double early_stop_tolerance = 0.005;
-  /// Worker threads for the hypercube-group walk; 0 = hardware concurrency.
-  /// Profiles are bit-identical at every thread count: each group's frame
-  /// permutation comes from its own RNG stream derived from the group key,
-  /// and points are emitted in canonical group order regardless of which
-  /// worker finishes first.
-  int num_threads = 0;
 };
 
 /// Wall-clock and invocation accounting for the last Generate() call
@@ -105,11 +97,13 @@ struct ProfilerReport {
   /// The parallel walk over hypercube groups.
   double groups_seconds = 0.0;
   double total_seconds = 0.0;
-  /// Cache misses (model invocations) attributable to this Generate().
+  /// The source's cache misses (model invocations) during this Generate(),
+  /// including those of concurrent sessions on the same source.
   int64_t model_invocations = 0;
-  /// Cache hits (reuse savings) attributable to this Generate().
+  /// The source's cache hits (reuse savings) during this Generate(),
+  /// including those of concurrent sessions on the same source.
   int64_t cache_hits = 0;
-  /// Resolved worker count actually used.
+  /// Width of the source's pool that walked the groups; 1 without one.
   int num_threads = 0;
   /// Number of (resolution, restricted, contrast) hypercube groups.
   int64_t num_groups = 0;
@@ -117,7 +111,9 @@ struct ProfilerReport {
 
 class Profiler {
  public:
-  /// References must outlive the profiler.
+  /// References must outlive the profiler. The profiler walks its groups on
+  /// the source's thread pool and records its profiler.* instruments in the
+  /// source's registry.
   Profiler(query::FrameOutputSource& source, const detect::ClassPriorIndex& prior,
            query::QuerySpec spec, ProfilerOptions options);
 
@@ -129,39 +125,21 @@ class Profiler {
   const std::optional<CorrectionSet>& correction_set() const { return correction_set_; }
 
   /// Stage timings and invocation accounting for the last Generate(). The
-  /// same stage durations roll into the registry's
+  /// same stage durations roll into the source registry's
   /// "profiler.stage.{correction,groups,total}.seconds" histograms (one
   /// observation per Generate per stage); the report stays the per-call view,
   /// the registry the cross-call aggregate.
   const ProfilerReport& last_report() const { return report_; }
 
-  /// Re-points the profiler.* instruments at `registry`; nullptr restores
-  /// util::MetricsRegistry::Default(). Bind before Generate().
-  void set_metrics_registry(util::MetricsRegistry* registry);
-
-  /// Runs the hypercube-group walk on a SHARED executor instead of a pool
-  /// constructed per Generate() call. The walk is one ParallelFor over this
-  /// call's groups: the calling thread works on its own chunks and returns
-  /// when they are done, never waiting on other users of the pool (other
-  /// sessions' profile runs in the serving layer). Called from one of the
-  /// pool's own workers, the walk runs inline. The pool is borrowed, not
-  /// owned, and must outlive the profiler. nullptr (the default) restores
-  /// the private per-call pool sized by ProfilerOptions::num_threads.
-  /// Results are bit-identical either way.
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
-
  private:
-  void BindMetrics(util::MetricsRegistry* registry);
-
   query::FrameOutputSource& source_;
   const detect::ClassPriorIndex& prior_;
   query::QuerySpec spec_;
   ProfilerOptions options_;
-  util::ThreadPool* pool_ = nullptr;
   std::optional<CorrectionSet> correction_set_;
   ProfilerReport report_;
 
-  /// Registry-bound stage histograms (never null after construction).
+  /// Instruments in the source's registry (never null).
   struct Instruments {
     util::Histogram* correction_seconds = nullptr;
     util::Histogram* groups_seconds = nullptr;

@@ -35,24 +35,22 @@ size_t ProfileKeyHash::operator()(const ProfileKey& key) const {
                                                  key.options_hash, key.seed}));
 }
 
+ProfileCache::Instruments::Instruments(util::MetricsRegistry& registry)
+    : hits(registry.GetCounter("engine.profile_cache.hits")),
+      misses(registry.GetCounter("engine.profile_cache.misses")),
+      evictions(registry.GetCounter("engine.profile_cache.evictions")),
+      provenance_mismatches(registry.GetCounter("engine.profile_cache.provenance_mismatches")),
+      entries(registry.GetGauge("engine.profile_cache.entries")) {}
+
 ProfileCache::ProfileCache(size_t capacity, util::MetricsRegistry* registry)
-    : capacity_(capacity) {
-  if (registry == nullptr) registry = &util::MetricsRegistry::Default();
-  metrics_.hits = registry->GetCounter("engine.profile_cache.hits");
-  metrics_.misses = registry->GetCounter("engine.profile_cache.misses");
-  metrics_.evictions = registry->GetCounter("engine.profile_cache.evictions");
-  metrics_.provenance_mismatches =
-      registry->GetCounter("engine.profile_cache.provenance_mismatches");
-  metrics_.entries = registry->GetGauge("engine.profile_cache.entries");
-}
+    : capacity_(capacity), metrics_(util::MetricsRegistry::OrDefault(registry)) {}
 
 core::ProfileHandle ProfileCache::Get(const ProfileKey& key,
                                       const ProfileProvenance& provenance) {
   util::MutexLock lock(&mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
-    ++misses_;
-    metrics_.misses->Increment();
+    metrics_.misses.Increment();
     return nullptr;
   }
   if (!(it->second->provenance == provenance)) {
@@ -61,16 +59,13 @@ core::ProfileHandle ProfileCache::Get(const ProfileKey& key,
     // hand out a profile of the WRONG video, so evict and miss.
     lru_.erase(it->second);
     index_.erase(it);
-    ++provenance_mismatches_;
-    ++misses_;
-    metrics_.provenance_mismatches->Increment();
-    metrics_.misses->Increment();
+    metrics_.provenance_mismatches.Increment();
+    metrics_.misses.Increment();
     metrics_.entries->Set(static_cast<int64_t>(lru_.size()));
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // Move to most-recently-used.
-  ++hits_;
-  metrics_.hits->Increment();
+  metrics_.hits.Increment();
   return it->second->profile;
 }
 
@@ -90,8 +85,7 @@ void ProfileCache::Put(const ProfileKey& key, const ProfileProvenance& provenanc
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().key);
     lru_.pop_back();
-    ++evictions_;
-    metrics_.evictions->Increment();
+    metrics_.evictions.Increment();
   }
   metrics_.entries->Set(static_cast<int64_t>(lru_.size()));
 }
@@ -99,26 +93,6 @@ void ProfileCache::Put(const ProfileKey& key, const ProfileProvenance& provenanc
 size_t ProfileCache::size() const {
   util::MutexLock lock(&mu_);
   return lru_.size();
-}
-
-int64_t ProfileCache::hits() const {
-  util::MutexLock lock(&mu_);
-  return hits_;
-}
-
-int64_t ProfileCache::misses() const {
-  util::MutexLock lock(&mu_);
-  return misses_;
-}
-
-int64_t ProfileCache::evictions() const {
-  util::MutexLock lock(&mu_);
-  return evictions_;
-}
-
-int64_t ProfileCache::provenance_mismatches() const {
-  util::MutexLock lock(&mu_);
-  return provenance_mismatches_;
 }
 
 }  // namespace engine

@@ -102,11 +102,13 @@ class ProfileCache {
   size_t size() const SMK_EXCLUDES(mu_);
   size_t capacity() const { return capacity_; }
 
-  /// Exact accounting (mirrors the engine.profile_cache.* registry counters).
-  int64_t hits() const SMK_EXCLUDES(mu_);
-  int64_t misses() const SMK_EXCLUDES(mu_);
-  int64_t evictions() const SMK_EXCLUDES(mu_);
-  int64_t provenance_mismatches() const SMK_EXCLUDES(mu_);
+  /// This cache's exact accounting. Each tally also lands in the registry
+  /// counter engine.profile_cache.<name>, which sums every cache bound to
+  /// that registry.
+  int64_t hits() const { return metrics_.hits.Value(); }
+  int64_t misses() const { return metrics_.misses.Value(); }
+  int64_t evictions() const { return metrics_.evictions.Value(); }
+  int64_t provenance_mismatches() const { return metrics_.provenance_mismatches.Value(); }
 
  private:
   struct Entry {
@@ -116,13 +118,15 @@ class ProfileCache {
   };
   using LruList = std::list<Entry>;
 
-  /// Registry instruments (never null after construction).
+  /// This cache's tallies over the registry's counters, and the registry's
+  /// entries gauge.
   struct Instruments {
-    util::Counter* hits = nullptr;
-    util::Counter* misses = nullptr;
-    util::Counter* evictions = nullptr;
-    util::Counter* provenance_mismatches = nullptr;
-    util::Gauge* entries = nullptr;
+    explicit Instruments(util::MetricsRegistry& registry);
+    util::Counter hits;
+    util::Counter misses;
+    util::Counter evictions;
+    util::Counter provenance_mismatches;
+    util::Gauge* entries;
   };
 
   const size_t capacity_;
@@ -131,10 +135,6 @@ class ProfileCache {
   mutable util::Mutex mu_;
   LruList lru_ SMK_GUARDED_BY(mu_);  // Front = most recently used.
   std::unordered_map<ProfileKey, LruList::iterator, ProfileKeyHash> index_ SMK_GUARDED_BY(mu_);
-  int64_t hits_ SMK_GUARDED_BY(mu_) = 0;
-  int64_t misses_ SMK_GUARDED_BY(mu_) = 0;
-  int64_t evictions_ SMK_GUARDED_BY(mu_) = 0;
-  int64_t provenance_mismatches_ SMK_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace engine

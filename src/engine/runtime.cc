@@ -61,10 +61,8 @@ bool ProfilesBitIdentical(const core::Profile& a, const core::Profile& b) {
 
 Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   env_ = options_.env != nullptr ? options_.env : &util::Env::Default();
-  registry_ =
-      options_.registry != nullptr ? options_.registry : &util::MetricsRegistry::Default();
-  executor_ = std::make_unique<util::ThreadPool>(options_.num_threads);
-  executor_->set_metrics_registry(registry_);
+  registry_ = &util::MetricsRegistry::OrDefault(options_.registry);
+  executor_ = std::make_unique<util::ThreadPool>(options_.num_threads, registry_);
   profile_cache_ = std::make_unique<ProfileCache>(kProfileCacheCapacity, registry_);
 
   metrics_.sessions_started = registry_->GetCounter("engine.sessions.started");
@@ -83,9 +81,12 @@ Result<std::unique_ptr<Runtime>> Runtime::Create(RuntimeOptions options) {
   return std::unique_ptr<Runtime>(new Runtime(std::move(options)));
 }
 
-void Runtime::WireSource(query::FrameOutputSource& source) const {
-  source.set_metrics_registry(registry_);
-  source.set_max_batch_size(options_.max_batch_size);
+std::unique_ptr<query::FrameOutputSource> Runtime::MakeSource(
+    const video::VideoDataset& dataset, const detect::Detector& detector,
+    video::ObjectClass target_class) const {
+  auto source =
+      std::make_unique<query::FrameOutputSource>(dataset, detector, target_class, registry_);
+  source->set_max_batch_size(options_.max_batch_size);
   // The shared executor serves the source's miss-batch fan-out as well as
   // the profiler's group fan-out. This is safe against the classic
   // pool-against-itself deadlock because the source dispatches misses with
@@ -93,7 +94,8 @@ void Runtime::WireSource(query::FrameOutputSource& source) const {
   // worker (a profiler group task) and runs the identical chunk sequence
   // inline instead of blocking — while external session threads get real
   // fan-out across idle workers.
-  source.set_thread_pool(executor_.get());
+  source->set_thread_pool(executor_.get());
+  return source;
 }
 
 Result<std::unique_ptr<Workload>> Runtime::Materialize(const WorkloadDesc& desc) {
@@ -119,9 +121,7 @@ Result<std::unique_ptr<Workload>> Runtime::Materialize(const WorkloadDesc& desc)
   SMK_RETURN_IF_ERROR(prior.status());
   workload->prior_ = std::make_unique<detect::ClassPriorIndex>(std::move(*prior));
 
-  workload->source_ = std::make_unique<query::FrameOutputSource>(
-      *workload->dataset_, *workload->detector_, desc.target_class);
-  WireSource(*workload->source_);
+  workload->source_ = MakeSource(*workload->dataset_, *workload->detector_, desc.target_class);
 
   if (!desc.output_store_path.empty()) {
     if (env_->FileExists(desc.output_store_path)) {
@@ -191,9 +191,7 @@ Result<WorkloadHandle> Runtime::AdoptWorkload(std::string label,
   workload->dataset_ = std::move(dataset);
   workload->detector_ = std::move(detector);
   workload->prior_ = std::move(prior);
-  workload->source_ = std::make_unique<query::FrameOutputSource>(
-      *workload->dataset_, *workload->detector_, target_class);
-  WireSource(*workload->source_);
+  workload->source_ = MakeSource(*workload->dataset_, *workload->detector_, target_class);
   metrics_.workloads_materialized->Increment();
   return WorkloadHandle(std::move(workload));
 }

@@ -189,9 +189,11 @@ class Runtime {
 
   /// Builds the dataset/model/prior/source quartet for `desc`.
   util::Result<std::unique_ptr<Workload>> Materialize(const WorkloadDesc& desc);
-  /// Wires a freshly built source to this runtime's registry, batching
-  /// default and executor.
-  void WireSource(query::FrameOutputSource& source) const;
+  /// A source bound to this runtime's registry, batching default and
+  /// executor.
+  std::unique_ptr<query::FrameOutputSource> MakeSource(const video::VideoDataset& dataset,
+                                                       const detect::Detector& detector,
+                                                       video::ObjectClass target_class) const;
 
   RuntimeOptions options_;
   util::Env* env_ = nullptr;

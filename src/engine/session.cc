@@ -35,8 +35,6 @@ uint64_t HashCandidateGrid(const std::vector<degrade::InterventionSet>& candidat
 
 uint64_t HashProfilerOptions(const core::ProfilerOptions& options) {
   // Every field that changes the generated points — and ONLY those.
-  // num_threads stays out: profiles are bit-identical at any width, so a
-  // cache entry must hit regardless of the executor that produced it.
   return stats::HashCombine({DoubleBits(options.delta),
                              options.use_correction_set ? 1ULL : 0ULL,
                              static_cast<uint64_t>(options.correction_set_size),
@@ -82,10 +80,10 @@ Result<core::ProfileHandle> Session::Profile(
     }
   }
 
+  // The profiler inherits the source's wiring: the runtime's executor and
+  // registry.
   core::Profiler profiler(workload_->source(), workload_->prior(), config_.spec,
                           config_.profiler);
-  profiler.set_metrics_registry(&runtime_->registry());
-  profiler.set_thread_pool(&runtime_->executor());
   // A FRESH stream per call: the profile is a pure function of the key above
   // — two sessions with the same key generate bit-identical profiles no
   // matter how their group tasks interleave on the shared executor.

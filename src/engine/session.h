@@ -48,8 +48,8 @@ namespace engine {
 
 struct SessionConfig {
   query::QuerySpec spec;
-  /// Profiler knobs. num_threads is IGNORED — sessions always run on the
-  /// runtime's shared executor (the whole point of the serving layer).
+  /// Profiler knobs. The profile runs on the workload's source, so on the
+  /// runtime's shared executor and registry.
   core::ProfilerOptions profiler;
   /// Session seed; unset = RuntimeOptions::default_seed. Sessions sharing a
   /// seed and query produce (and share) bit-identical profiles.
@@ -119,9 +119,7 @@ class Session {
 /// Order-sensitive hash over an exact candidate grid (ProfileKey component).
 uint64_t HashCandidateGrid(const std::vector<degrade::InterventionSet>& candidates);
 
-/// Hash over the bound-affecting ProfilerOptions fields. num_threads is
-/// excluded: profiles are bit-identical at every thread count, so the cache
-/// must hit across executor widths.
+/// Hash over the bound-affecting ProfilerOptions fields.
 uint64_t HashProfilerOptions(const core::ProfilerOptions& options);
 
 /// The query signature used in ProfileKeys: the spec's canonical string plus

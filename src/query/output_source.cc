@@ -87,30 +87,25 @@ inline bool RangeClear(const ReadyBits& ready, const std::vector<uint64_t>& infl
 
 }  // namespace
 
+FrameOutputSource::Instruments::Instruments(util::MetricsRegistry& registry)
+    : invocations(registry.GetCounter("output_source.model_invocations")),
+      hits(registry.GetCounter("output_source.cache_hits")),
+      inflight_waits(registry.GetCounter("output_source.inflight_waits")),
+      repair_columns_recomputed(registry.GetCounter("output_source.repair.columns_recomputed")),
+      repair_entries_recomputed(registry.GetCounter("output_source.repair.entries_recomputed")),
+      miss_batch_size(
+          registry.GetHistogram("output_source.miss_batch.frames", util::BatchSizeBoundaries())) {
+}
+
 FrameOutputSource::FrameOutputSource(const video::VideoDataset& dataset,
                                      const detect::Detector& detector,
-                                     video::ObjectClass target_class)
-    : dataset_(dataset), detector_(detector), target_class_(target_class) {
-  BindMetrics(nullptr);
-}
-
-void FrameOutputSource::BindMetrics(util::MetricsRegistry* registry) {
-  if (registry == nullptr) registry = &util::MetricsRegistry::Default();
-  registry_ = registry;
-  metrics_.invocations = registry->GetCounter("output_source.model_invocations");
-  metrics_.hits = registry->GetCounter("output_source.cache_hits");
-  metrics_.inflight_waits = registry->GetCounter("output_source.inflight_waits");
-  metrics_.repair_columns_recomputed =
-      registry->GetCounter("output_source.repair.columns_recomputed");
-  metrics_.repair_entries_recomputed =
-      registry->GetCounter("output_source.repair.entries_recomputed");
-  metrics_.miss_batch_size =
-      registry->GetHistogram("output_source.miss_batch.frames", util::BatchSizeBoundaries());
-}
-
-void FrameOutputSource::set_metrics_registry(util::MetricsRegistry* registry) {
-  BindMetrics(registry);
-}
+                                     video::ObjectClass target_class,
+                                     util::MetricsRegistry* registry)
+    : dataset_(dataset),
+      detector_(detector),
+      target_class_(target_class),
+      registry_(&util::MetricsRegistry::OrDefault(registry)),
+      metrics_(*registry_) {}
 
 Status FrameOutputSource::ComputeMisses(std::span<const int64_t> miss_frames, int resolution,
                                         double contrast_scale, std::span<int> miss_counts) {
@@ -242,8 +237,7 @@ Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int
       }
       col.cv.NotifyAll();
       if (!status.ok()) return status;
-      model_invocations_.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
-      metrics_.invocations->Add(static_cast<int64_t>(n));
+      metrics_.invocations.Add(static_cast<int64_t>(n));
       metrics_.miss_batch_size->Observe(static_cast<double>(n));
       return Status::OK();
     }
@@ -306,8 +300,7 @@ Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int
       }
     }
     if (probe_hits > 0) {
-      cache_hits_.fetch_add(probe_hits, std::memory_order_relaxed);
-      metrics_.hits->Add(probe_hits);
+      metrics_.hits.Add(probe_hits);
       probe_hits = 0;
     }
 
@@ -337,15 +330,10 @@ Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int
       if (!status.ok()) return status;
       for (size_t m = 0; m < miss_frames.size(); ++m) out[miss_slot[m]] = miss_counts[m];
       // A batch over N distinct keys counts as exactly N model invocations.
-      model_invocations_.fetch_add(static_cast<int64_t>(miss_frames.size()),
-                                   std::memory_order_relaxed);
-      metrics_.invocations->Add(static_cast<int64_t>(miss_frames.size()));
+      metrics_.invocations.Add(static_cast<int64_t>(miss_frames.size()));
       metrics_.miss_batch_size->Observe(static_cast<double>(miss_frames.size()));
     }
-    if (!dup_slots.empty()) {
-      cache_hits_.fetch_add(static_cast<int64_t>(dup_slots.size()), std::memory_order_relaxed);
-      metrics_.hits->Add(static_cast<int64_t>(dup_slots.size()));
-    }
+    if (!dup_slots.empty()) metrics_.hits.Add(static_cast<int64_t>(dup_slots.size()));
     // Frames another thread had in flight are classified again next round.
     pending.swap(waiter_slots);
     waiter_slots.clear();
@@ -353,10 +341,7 @@ Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int
     miss_slot.clear();
     dup_slots.clear();
   }
-  if (probe_hits > 0) {
-    cache_hits_.fetch_add(probe_hits, std::memory_order_relaxed);
-    metrics_.hits->Add(probe_hits);
-  }
+  if (probe_hits > 0) metrics_.hits.Add(probe_hits);
   return Status::OK();
 }
 

@@ -24,11 +24,11 @@
 // resolution, contrast) triples can never alias.
 //
 // Thread safety: every public method may be called concurrently, and the
-// invocation/hit counters are atomics. Each column owns a mutex for claims,
-// in-flight waits and installs; a miss invokes the model OUTSIDE it (misses
-// on different frames overlap), and an in-flight bit guarantees each key is
-// computed exactly once, so model_invocations() counts distinct computed
-// keys exactly, at any thread count. A request whose frames are in flight
+// invocation/hit counters are lock-free util::Counters. Each column owns a
+// mutex for claims, in-flight waits and installs; a miss invokes the model
+// OUTSIDE it (misses on different frames overlap), and an in-flight bit
+// guarantees each key is computed exactly once, so model_invocations()
+// counts distinct computed keys exactly, at any thread count. A request whose frames are in flight
 // on another thread computes its own claims first, then waits for the rest
 // and claims again whatever a failed batch released; it never waits while
 // holding a claim. Hits take no lock at all: a count is written once before
@@ -95,9 +95,13 @@ struct OutputColumn {
 
 class FrameOutputSource {
  public:
-  /// Neither reference may outlive this object.
+  /// Neither reference may outlive this object. The output_source.*
+  /// instruments bind to `registry` (nullptr = util::MetricsRegistry::
+  /// Default()), as does a core::Profiler reading this source. Each registry
+  /// counter sums every source bound to that registry; the accessors below
+  /// report this source's own count.
   FrameOutputSource(const video::VideoDataset& dataset, const detect::Detector& detector,
-                    video::ObjectClass target_class);
+                    video::ObjectClass target_class, util::MetricsRegistry* registry = nullptr);
 
   /// Raw counts for `frame_indices` written into `out` (same length, same
   /// order). The claimed misses are computed by ONE CountBatch invocation
@@ -143,8 +147,14 @@ class FrameOutputSource {
   /// worker of this pool are safe: ParallelFor detects the nesting and runs
   /// the same chunk sequence inline (this is how the serving layer shares
   /// one executor between sessions, the profiler and this source). nullptr
-  /// (the default) restores the serial path.
+  /// (the default) restores the serial path. A core::Profiler reading this
+  /// source walks its hypercube groups on the same pool.
   void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
+
+  /// The pool set by set_thread_pool; nullptr when the source is serial.
+  util::ThreadPool* thread_pool() const { return pool_; }
+  /// The registry the source's instruments are bound to (never null).
+  util::MetricsRegistry& registry() const { return *registry_; }
 
   /// Snapshots the memo cache into a persistable OutputStore: one column
   /// per (resolution, contrast) pair seen, in (resolution, contrast_q)
@@ -188,23 +198,12 @@ class FrameOutputSource {
   /// of entries installed.
   util::Result<int64_t> Preload(const OutputStore& store);
 
-  /// Re-points the source's metric instruments (output_source.* counters
-  /// and the batch-size histogram) at `registry`; nullptr restores
-  /// util::MetricsRegistry::Default(). The registry counters tally EXACTLY
-  /// what the accessors below report — bit-exact at any thread count — but
-  /// aggregate across every source bound to the same registry. Not
-  /// thread-safe against concurrent requests: bind before use (tests bind a
-  /// private registry to assert exact per-source counts).
-  void set_metrics_registry(util::MetricsRegistry* registry);
-
   /// Total UDF invocations that missed the cache (the paper's N_model).
   /// Exactly the number of distinct keys computed, at any thread count. A
   /// batched invocation over N distinct missing keys counts as N.
-  int64_t model_invocations() const {
-    return model_invocations_.load(std::memory_order_relaxed);
-  }
+  int64_t model_invocations() const { return metrics_.invocations.Value(); }
   /// Invocations answered from the cache (reuse-strategy savings).
-  int64_t cache_hits() const { return cache_hits_.load(std::memory_order_relaxed); }
+  int64_t cache_hits() const { return metrics_.hits.Value(); }
 
   const video::VideoDataset& dataset() const { return dataset_; }
   const detect::Detector& detector() const { return detector_; }
@@ -241,30 +240,27 @@ class FrameOutputSource {
   util::Status ComputeMisses(std::span<const int64_t> miss_frames, int resolution,
                              double contrast_scale, std::span<int> miss_counts);
 
-  /// Registry-bound instrument pointers (never null after construction;
-  /// registry instruments are immortal). Additive mirrors of the atomic
-  /// accessors above — integer counter adds commute, so registry totals are
-  /// bit-exact at any thread count.
-  struct Instruments {
-    util::Counter* invocations = nullptr;
-    util::Counter* hits = nullptr;
-    util::Counter* inflight_waits = nullptr;
-    util::Counter* repair_columns_recomputed = nullptr;
-    util::Counter* repair_entries_recomputed = nullptr;
-    util::Histogram* miss_batch_size = nullptr;
-  };
-  void BindMetrics(util::MetricsRegistry* registry);
-
   const video::VideoDataset& dataset_;
   const detect::Detector& detector_;
   video::ObjectClass target_class_;
   int64_t max_batch_size_ = 0;
   util::ThreadPool* pool_ = nullptr;
 
-  Instruments metrics_;
   /// The registry the instruments are bound to (never null); RepairStore
-  /// routes its salvage tallies here so test-isolated registries see them.
-  util::MetricsRegistry* registry_ = nullptr;
+  /// routes its salvage tallies here too.
+  util::MetricsRegistry* const registry_;
+  struct Instruments {
+    explicit Instruments(util::MetricsRegistry& registry);
+    /// This source's own tallies behind model_invocations() and
+    /// cache_hits(); each add also lands in the registry counter.
+    util::Counter invocations;
+    util::Counter hits;
+    util::Counter* inflight_waits;
+    util::Counter* repair_columns_recomputed;
+    util::Counter* repair_entries_recomputed;
+    util::Histogram* miss_batch_size;
+  };
+  Instruments metrics_;
   /// Memo columns, keyed by (resolution, contrast_q). std::map keeps the
   /// index sorted; the unique_ptr keeps Column addresses stable across
   /// inserts (callers hold references outside columns_mu_).
@@ -278,8 +274,6 @@ class FrameOutputSource {
   using ColumnIndex = std::vector<std::pair<std::pair<int, int64_t>, Column*>>;
   std::atomic<const ColumnIndex*> column_index_{nullptr};
   std::vector<std::unique_ptr<const ColumnIndex>> column_indexes_ SMK_GUARDED_BY(columns_mu_);
-  std::atomic<int64_t> model_invocations_{0};
-  std::atomic<int64_t> cache_hits_{0};
 };
 
 }  // namespace query

@@ -350,12 +350,10 @@ Result<OutputStore::SalvageResult> OutputStore::Salvage(util::Env& env, const st
     }
   }
 
-  // The verdict tallies go to the INJECTED registry, looked up per call.
-  // (They used to bind to the default registry once via function-local
-  // statics, which silently leaked counts past any registry a caller
-  // injected — engine runtimes with private registries could never account
-  // for their own warm-start salvages.) Load and Scrub both route through
-  // here, so every salvage pass is covered.
+  // The verdict tallies go to the caller's registry, looked up per call, so
+  // a runtime with a private registry accounts for its own warm-start
+  // salvages. Load and Scrub both route through here, so every salvage pass
+  // is covered.
   if (registry == nullptr) registry = &util::MetricsRegistry::Default();
   registry->GetCounter("output_store.salvage.calls")->Increment();
   registry->GetCounter("output_store.salvage.columns_loaded")->Add(report.columns_loaded);

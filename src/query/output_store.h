@@ -166,11 +166,8 @@ class OutputStore {
   /// instead of discarding it. Fails (like Load) only when the file itself
   /// is unreadable or the HEADER is untrusted: nothing below a bad header
   /// can be attributed to this store. Reads v1 and v2 files. The verdict
-  /// tallies (output_store.salvage.*) go to `registry`; nullptr means the
-  /// process default. (They used to bind to the default registry via
-  /// function-local statics, which silently leaked counts past
-  /// set_metrics_registry-style test isolation — the injected registry is
-  /// looked up per call instead.)
+  /// tallies (output_store.salvage.*) go to `registry`, looked up per call;
+  /// nullptr means the process default.
   static util::Result<SalvageResult> Salvage(util::Env& env, const std::string& path,
                                              util::MetricsRegistry* registry = nullptr);
   static util::Result<SalvageResult> Salvage(const std::string& path);

@@ -1,13 +1,11 @@
 // util::metrics — the process-wide observability spine.
 //
-// After five PRs the repo's instrumentation was siloed: ProfilerReport stage
-// timers, FrameOutputSource hit/invocation atomics, NetworkLink
-// retransmission tallies and CentralSystem breaker state each exposed
-// bespoke accessors with no common registry, export format, or overhead
-// story. This header provides the one spine they all report through, in the
-// style production video-analytics systems (BlazeIt, Boggart) treat
-// per-stage counters and latency histograms: first-class citizens of the
-// serving path.
+// Every component reports through one registry of named instruments: the
+// profiler's stage timers, the output source's invocation/hit counters, the
+// thread pool, the profile cache, the network link and the central system's
+// breakers. Production video-analytics systems (BlazeIt, Boggart) treat
+// per-stage counters and latency histograms the same way: as first-class
+// citizens of the serving path.
 //
 // Three instrument kinds, all safe for concurrent use:
 //
@@ -17,7 +15,11 @@
 //                same counter do not bounce one cache line between cores.
 //                Value() sums the cells; integer addition is associative, so
 //                the total is BIT-EXACT at any thread count — never sampled,
-//                never approximate.
+//                never approximate. A component that reports its own count
+//                of a fact (one source's model invocations) holds a
+//                component Counter built over the registry counter: its
+//                Value() is the component's tally, and each Add also lands in
+//                the registry counter, which sums every component's adds.
 //  * Gauge     — a settable int64 level (queue depth, open breakers).
 //  * Histogram — fixed bucket boundaries chosen at creation; Observe() is a
 //                branch-free upper_bound over <= 64 boundaries plus one
@@ -29,9 +31,9 @@
 // Instruments live in a MetricsRegistry and are looked up BY NAME once, at
 // component construction (a mutex-guarded map probe); the returned pointer
 // is stable for the registry's lifetime and the per-operation cost is only
-// the atomic add. MetricsRegistry::Default() is the process-wide registry
-// every component binds to unless re-pointed (tests bind private registries
-// to assert exact counts in isolation).
+// the atomic add. A component binds to the registry it is constructed with;
+// nullptr means MetricsRegistry::Default(), the process-wide registry (tests
+// pass private registries to assert exact counts in isolation).
 //
 // Naming scheme: dot-separated "<subsystem>.<object>.<metric>[_<unit>]",
 // e.g. "output_source.model_invocations", "profiler.stage.groups.seconds",
@@ -81,8 +83,15 @@ int ThisThreadCell();
 /// commute). Counters only go up.
 class Counter {
  public:
+  /// One component's own tally of the fact `total` counts: Value() is this
+  /// component's count, and every Add also lands in `total` (non-null; the
+  /// registry counter of the same name, which outlives the component). The
+  /// registry counter keeps the adds of components already destroyed.
+  explicit Counter(Counter* total) : name_(total->name()), total_(total) {}
+
   void Add(int64_t n) {
     cells_[metrics_internal::ThisThreadCell()].v.fetch_add(n, std::memory_order_relaxed);
+    if (total_ != nullptr) total_->Add(n);
   }
   void Increment() { Add(1); }
 
@@ -103,6 +112,9 @@ class Counter {
   };
   std::array<Cell, metrics_internal::kNumCells> cells_;
   std::string name_;
+  /// The registry counter a component counter forwards to; null in the
+  /// registry's own counters.
+  Counter* total_ = nullptr;
 };
 
 /// A settable level. Set/Add are single relaxed atomics — gauges track
@@ -222,6 +234,10 @@ class MetricsRegistry {
   /// The process-wide registry (never destroyed, so instruments outlive
   /// static-destruction-order hazards).
   static MetricsRegistry& Default();
+  /// `*registry`, or Default() when it is null: what a component binds to.
+  static MetricsRegistry& OrDefault(MetricsRegistry* registry) {
+    return registry != nullptr ? *registry : Default();
+  }
 
   Counter* GetCounter(const std::string& name) SMK_EXCLUDES(mu_);
   Gauge* GetGauge(const std::string& name) SMK_EXCLUDES(mu_);

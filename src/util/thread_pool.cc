@@ -50,15 +50,12 @@ int ThreadPool::ResolveThreadCount(int requested) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-void ThreadPool::BindMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) registry = &MetricsRegistry::Default();
-  queue_depth_ = registry->GetGauge("thread_pool.queue_depth");
-  task_seconds_ = registry->GetStageHistogram("thread_pool.task.seconds");
-  tasks_run_ = registry->GetCounter("thread_pool.tasks_run");
-}
-
-ThreadPool::ThreadPool(int num_threads) : num_threads_(ResolveThreadCount(num_threads)) {
-  BindMetrics(nullptr);
+ThreadPool::ThreadPool(int num_threads, MetricsRegistry* registry)
+    : num_threads_(ResolveThreadCount(num_threads)) {
+  MetricsRegistry& metrics = MetricsRegistry::OrDefault(registry);
+  queue_depth_ = metrics.GetGauge("thread_pool.queue_depth");
+  task_seconds_ = metrics.GetStageHistogram("thread_pool.task.seconds");
+  tasks_run_ = metrics.GetCounter("thread_pool.tasks_run");
   if (num_threads_ == 1) return;  // Inline mode: ParallelFor runs directly.
   workers_.reserve(static_cast<size_t>(num_threads_));
   for (int i = 0; i < num_threads_; ++i) {

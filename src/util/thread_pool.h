@@ -52,7 +52,20 @@ namespace util {
 class ThreadPool {
  public:
   /// `num_threads` <= 0 resolves to the hardware concurrency (at least 1).
-  explicit ThreadPool(int num_threads = 0);
+  /// The thread_pool.* instruments (queue-depth gauge, task latency
+  /// histogram, tasks-run counter) bind to `registry`; nullptr means
+  /// util::MetricsRegistry::Default(). All pools bound to one registry share
+  /// the instruments (the gauge is the aggregate depth). Every outermost
+  /// unit — one ParallelFor chunk — counts once in tasks_run and observes
+  /// once into the latency histogram, so the totals are bit-exact at any
+  /// thread count (the counters themselves sum per-thread cells; see
+  /// util::metrics). A chunk is outermost unless it runs inside another
+  /// chunk's span: every chunk of a ParallelFor called from inside a chunk
+  /// (inline on a worker, or on the bulk path from a caller's own chunk,
+  /// whichever thread runs it) is part of that chunk and is not counted
+  /// again. Inline runs called from outside any chunk (a width-1 pool, or a
+  /// single-chunk call) are outermost and count.
+  explicit ThreadPool(int num_threads = 0, MetricsRegistry* registry = nullptr);
   /// Lets the workers drain any helper tokens still queued, then joins them.
   ~ThreadPool();
 
@@ -82,22 +95,6 @@ class ThreadPool {
   /// 0 (or negative) -> std::thread::hardware_concurrency(), else the
   /// requested count; never less than 1.
   static int ResolveThreadCount(int requested);
-
-  /// Re-points the thread_pool.* instruments (queue-depth gauge, task
-  /// latency histogram, tasks-run counter) at `registry`; nullptr restores
-  /// util::MetricsRegistry::Default(). Not synchronized against running
-  /// workers — bind before the first ParallelFor(). All pools bound to one
-  /// registry share the instruments (the gauge is the aggregate depth).
-  /// Every outermost unit — one ParallelFor chunk — counts once in
-  /// tasks_run and observes once into the latency histogram, so the totals
-  /// are bit-exact at any thread count (the counters themselves sum
-  /// per-thread cells; see util::metrics). A chunk is outermost unless it
-  /// runs inside another chunk's span: every chunk of a ParallelFor called
-  /// from inside a chunk (inline on a worker, or on the bulk path from a
-  /// caller's own chunk, whichever thread runs it) is part of that chunk
-  /// and is not counted again. Inline runs called from outside any chunk (a
-  /// width-1 pool, or a single-chunk call) are outermost and count.
-  void set_metrics_registry(MetricsRegistry* registry) { BindMetrics(registry); }
 
  private:
   /// Shared descriptor of one ParallelFor call: workers and the caller claim
@@ -133,9 +130,7 @@ class ThreadPool {
   Bulk* NextToken() SMK_EXCLUDES(mu_);
   Bulk* PopToken() SMK_REQUIRES(mu_);
 
-  void BindMetrics(MetricsRegistry* registry);
-
-  /// Registry-bound instruments (never null after construction).
+  /// Registry-bound instruments (bound at construction, never null).
   Gauge* queue_depth_ = nullptr;
   Histogram* task_seconds_ = nullptr;
   Counter* tasks_run_ = nullptr;

@@ -20,14 +20,22 @@ using video::ObjectClass;
 using video::ScenePreset;
 
 TEST(NetworkLinkTest, AccountsBytesAndFrames) {
+  // Each link keeps its own tallies; the default registry's network_link.*
+  // counters sum every link's.
+  const util::Counter* registry_bytes =
+      util::MetricsRegistry::Default().GetCounter("network_link.bytes");
+  const int64_t bytes_before = registry_bytes->Value();
   NetworkLink link(NetworkLinkConfig{});
   link.TransmitFrame(1000);
   link.TransmitFrame(500);
   EXPECT_EQ(link.total_bytes(), 1500);
   EXPECT_EQ(link.total_frames(), 2);
-  link.Reset();
-  EXPECT_EQ(link.total_bytes(), 0);
-  EXPECT_EQ(link.total_frames(), 0);
+  NetworkLink fresh(NetworkLinkConfig{});
+  fresh.TransmitFrame(250);
+  EXPECT_EQ(fresh.total_bytes(), 250);
+  EXPECT_EQ(fresh.total_frames(), 1);
+  EXPECT_EQ(link.total_bytes(), 1500);
+  EXPECT_EQ(registry_bytes->Value() - bytes_before, 1750);
 }
 
 TEST(NetworkLinkTest, BusyTimeAndEnergy) {
@@ -265,9 +273,11 @@ TEST(NetworkLinkTest, TracksRetransmissionsSeparately) {
   EXPECT_EQ(link->retransmitted_bytes(), 1000);
   EXPECT_EQ(link->retransmitted_frames(), 1);
   EXPECT_NEAR(link->RetransmitEnergyJoules(), 1000 * 0.001 + 0.5, 1e-12);
-  link->Reset();
-  EXPECT_EQ(link->retransmitted_bytes(), 0);
-  EXPECT_EQ(link->retransmitted_frames(), 0);
+  // The tallies travel with the link when it moves.
+  NetworkLink moved = std::move(*link);
+  EXPECT_EQ(moved.retransmitted_bytes(), 1000);
+  EXPECT_EQ(moved.retransmitted_frames(), 1);
+  EXPECT_EQ(moved.total_frames(), 2);
 }
 
 // ---------------------------------------------------------------------------

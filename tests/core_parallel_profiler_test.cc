@@ -1,8 +1,9 @@
-// Parallel profile generation: Generate() must produce BIT-IDENTICAL
-// profiles regardless of ProfilerOptions::num_threads. Per-group RNG streams
+// Parallel profile generation: Generate() walks its hypercube groups on the
+// thread pool of the source it reads, and must produce BIT-IDENTICAL
+// profiles at every pool width and without a pool. Per-group RNG streams
 // (seeded from the profile seed + the hypercube group key) make each group's
 // sample sequence independent of scheduling, and points are appended in
-// canonical group order after the pool drains.
+// canonical group order after the walk.
 
 #include "core/profiler.h"
 
@@ -22,6 +23,8 @@
 #include "detect/models.h"
 #include "query/output_store.h"
 #include "stats/sampling.h"
+#include "util/metrics.h"
+#include "util/thread_pool.h"
 #include "video/presets.h"
 
 namespace smokescreen {
@@ -95,13 +98,14 @@ class ParallelProfilerTest : public ::testing::Test {
                                            const query::OutputStore* warm,
                                            query::OutputStore* exported = nullptr,
                                            int64_t* invocations = nullptr) {
+    util::ThreadPool pool(num_threads);
     query::FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
+    source.set_thread_pool(&pool);
     source.set_max_batch_size(batch_size);
     if (warm != nullptr) source.Preload(*warm).status().CheckOk();
     ProfilerOptions opts;
     opts.use_correction_set = false;
     opts.early_stop = false;
-    opts.num_threads = num_threads;
     Profiler profiler(source, *prior_, AvgSpec(), opts);
     stats::Rng rng(seed);
     auto profile = profiler.Generate(MultiGroupCandidates(), rng);
@@ -111,13 +115,16 @@ class ParallelProfilerTest : public ::testing::Test {
   }
 
   // Fresh source per run so cache state never leaks between thread counts.
+  // The source carries a pool of `num_threads` workers (0 = hardware
+  // concurrency), which the profiler walks its groups on.
   util::Result<Profile> RunGenerate(int num_threads, uint64_t seed, bool correction) {
+    util::ThreadPool pool(num_threads);
     query::FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
+    source.set_thread_pool(&pool);
     ProfilerOptions opts;
     opts.use_correction_set = correction;
     if (correction) opts.correction_set_size = 60;
     opts.early_stop = false;
-    opts.num_threads = num_threads;
     Profiler profiler(source, *prior_, AvgSpec(), opts);
     stats::Rng rng(seed);
     auto profile = profiler.Generate(MultiGroupCandidates(), rng);
@@ -235,7 +242,64 @@ TEST_F(ParallelProfilerTest, BitIdenticalAcrossTheFullWidthSweep) {
 TEST_F(ParallelProfilerTest, ZeroThreadsResolvesToHardwareConcurrency) {
   auto profile = RunGenerate(0, 82, /*correction=*/false);
   ASSERT_TRUE(profile.ok());
-  EXPECT_GE(last_report_.num_threads, 1);
+  EXPECT_EQ(last_report_.num_threads, util::ThreadPool::ResolveThreadCount(0));
+}
+
+TEST_F(ParallelProfilerTest, PoollessSourceWalksSeriallyAndMatchesAPooledOne) {
+  query::FrameOutputSource serial_source(*dataset_, yolo_, ObjectClass::kCar);
+  ProfilerOptions opts;
+  opts.correction_set_size = 60;
+  opts.early_stop = false;
+  Profiler serial(serial_source, *prior_, AvgSpec(), opts);
+  stats::Rng serial_rng(83);
+  auto serial_profile = serial.Generate(MultiGroupCandidates(), serial_rng);
+  ASSERT_TRUE(serial_profile.ok());
+  EXPECT_EQ(serial.last_report().num_threads, 1);
+
+  util::ThreadPool pool(4);
+  query::FrameOutputSource pooled_source(*dataset_, yolo_, ObjectClass::kCar);
+  pooled_source.set_thread_pool(&pool);
+  Profiler pooled(pooled_source, *prior_, AvgSpec(), opts);
+  stats::Rng pooled_rng(83);
+  auto pooled_profile = pooled.Generate(MultiGroupCandidates(), pooled_rng);
+  ASSERT_TRUE(pooled_profile.ok());
+  EXPECT_EQ(pooled.last_report().num_threads, 4);
+
+  ExpectBitIdentical(*serial_profile, *pooled_profile);
+  EXPECT_EQ(serial.last_report().model_invocations, pooled.last_report().model_invocations);
+  EXPECT_EQ(serial.last_report().num_groups, pooled.last_report().num_groups);
+}
+
+TEST_F(ParallelProfilerTest, RecordsInItsSourcesRegistryOnly) {
+  // The profiler.* instruments bind to the registry of the source the
+  // profiler reads; the process default sees nothing of this profile.
+  util::MetricsRegistry& defaults = util::MetricsRegistry::Default();
+  const char* const kStages[] = {"profiler.stage.correction.seconds",
+                                 "profiler.stage.groups.seconds",
+                                 "profiler.stage.total.seconds"};
+  std::vector<int64_t> default_stage_counts;
+  for (const char* stage : kStages) {
+    default_stage_counts.push_back(defaults.GetStageHistogram(stage)->TotalCount());
+  }
+  const int64_t default_calls = defaults.GetCounter("profiler.generate_calls")->Value();
+
+  util::MetricsRegistry registry;
+  query::FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar, &registry);
+  ProfilerOptions opts;
+  opts.correction_set_size = 60;
+  Profiler profiler(source, *prior_, AvgSpec(), opts);
+  stats::Rng rng(84);
+  ASSERT_TRUE(profiler.Generate(MultiGroupCandidates(), rng).ok());
+
+  for (size_t i = 0; i < std::size(kStages); ++i) {
+    SCOPED_TRACE(kStages[i]);
+    EXPECT_EQ(registry.GetStageHistogram(kStages[i])->TotalCount(), 1);
+    EXPECT_EQ(defaults.GetStageHistogram(kStages[i])->TotalCount(), default_stage_counts[i]);
+  }
+  EXPECT_DOUBLE_EQ(registry.GetStageHistogram("profiler.stage.total.seconds")->Sum(),
+                   profiler.last_report().total_seconds);
+  EXPECT_EQ(registry.GetCounter("profiler.generate_calls")->Value(), 1);
+  EXPECT_EQ(defaults.GetCounter("profiler.generate_calls")->Value(), default_calls);
 }
 
 // ---------------------------------------------------------------------------
@@ -352,10 +416,11 @@ TEST_P(IncrementalProfilerWalkTest, EveryPointEqualsPerPrefixReference) {
   for (bool early_stop : {true, false}) {
     for (int threads : {1, 8}) {
       SCOPED_TRACE(::testing::Message() << "early_stop " << early_stop << " threads " << threads);
+      util::ThreadPool pool(threads);
       query::FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
-      ProfilerOptions opts;
+      source.set_thread_pool(&pool);
+      ProfilerOptions opts;  // Correction set sized by the elbow walk.
       opts.early_stop = early_stop;
-      opts.num_threads = threads;  // Correction set sized by the elbow walk.
       Profiler profiler(source, *prior_, spec_, opts);
       stats::Rng rng(101);
       auto profile = profiler.Generate(Candidates(), rng);

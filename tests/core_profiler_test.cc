@@ -8,6 +8,7 @@
 #include "core/candidate_design.h"
 #include "core/tradeoff.h"
 #include "detect/models.h"
+#include "util/thread_pool.h"
 #include "video/presets.h"
 
 namespace smokescreen {
@@ -384,15 +385,17 @@ TEST(PinnedProfileTest, PaperScaleUaDetracProfilesArePinned) {
       {query::AggregateFunction::kAvg, 0x1f18068d6404f57bULL, 63560},
       {query::AggregateFunction::kMax, 0xdca16418dbc6beacULL, 63367},
   };
+  // The profiler walks its groups on its source's 2-wide pool.
+  util::ThreadPool pool(2);
   for (const Pinned& pinned : kPinned) {
     query::QuerySpec spec;
     spec.aggregate = pinned.aggregate;
     SCOPED_TRACE(spec.ToString());
     query::FrameOutputSource source(*ds, yolo, ObjectClass::kCar);
+    source.set_thread_pool(&pool);
     ProfilerOptions options;
     options.use_correction_set = true;
     options.early_stop = false;
-    options.num_threads = 2;
     Profiler profiler(source, *prior, spec, options);
     stats::Rng rng(1);
     auto profile = profiler.Generate(*grid, rng);
@@ -400,6 +403,7 @@ TEST(PinnedProfileTest, PaperScaleUaDetracProfilesArePinned) {
     ASSERT_EQ(profile->points.size(), 200u);
     EXPECT_EQ(ProfileDigest(*profile), pinned.digest);
     EXPECT_EQ(profiler.last_report().model_invocations, pinned.model_invocations);
+    EXPECT_EQ(profiler.last_report().num_threads, 2);
   }
 }
 

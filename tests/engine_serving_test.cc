@@ -7,7 +7,8 @@
 //  * Exactly-once cross-session computation: the shared source's
 //    model_invocations equals the number of DISTINCT cache keys — the same
 //    total the serial path pays — regardless of interleaving, and the
-//    injected registry mirrors it exactly.
+//    injected registry, which the sessions' profilers record in too, holds
+//    the same count.
 //  * ProfileCache: LRU hit/evict behavior, the runtime's 16-profile
 //    capacity, and the provenance check that turns a key collision between
 //    different corpora into a miss.
@@ -482,12 +483,15 @@ TEST_F(ServingConcurrencyTest, SixteenSessionsBitIdenticalToSerialWithExactAccou
     EXPECT_TRUE(ProfilesBitIdentical(*serial_profile, *profiles[i])) << "session " << i;
   }
   // Exactly-once across sessions: 16 concurrent generations of the same key
-  // set pay the SERIAL invocation bill, at any interleaving, and the
-  // runtime-injected registry mirrors the accessor bit-exactly.
+  // set pay the SERIAL invocation bill, at any interleaving. The workload's
+  // source is the only one on the runtime-injected registry, so the
+  // registry counter equals its accessor, and every session's profiler
+  // records its generation there.
   EXPECT_EQ((*workload)->source().model_invocations(), serial_invocations);
   EXPECT_EQ(registry.GetCounter("output_source.model_invocations")->Value(),
             serial_invocations);
   EXPECT_EQ(registry.GetCounter("engine.sessions.started")->Value(), kSessions);
+  EXPECT_EQ(registry.GetCounter("profiler.generate_calls")->Value(), kSessions);
 }
 
 TEST_F(ServingConcurrencyTest, CrossQuerySessionsShareRawCountComputation) {
@@ -585,7 +589,10 @@ TEST_F(ServingConcurrencyTest, ProfileCacheServesRepeatRequests) {
   EXPECT_FALSE((*third)->last_profile_from_cache());
 
   EXPECT_EQ((*runtime)->profile_cache().hits(), 1);
+  EXPECT_EQ((*runtime)->profile_cache().misses(), 2);
   EXPECT_EQ(registry.GetCounter("engine.profile_cache.hits")->Value(), 1);
+  EXPECT_EQ(registry.GetCounter("engine.profile_cache.misses")->Value(), 2);
+  EXPECT_EQ(registry.GetCounter("profiler.generate_calls")->Value(), 2);
 }
 
 TEST_F(ServingConcurrencyTest, MixedPresetSessionsServeIndependentWorkloads) {

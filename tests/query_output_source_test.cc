@@ -1102,8 +1102,7 @@ TEST_F(OutputSourceTest, WaiterReclaimsAFailedOwnersFrame) {
   // ComputeMisses with a model call of its own.
   util::MetricsRegistry registry;
   GatedDetector gated(/*failures=*/1);
-  FrameOutputSource source(*dataset_, gated, ObjectClass::kCar);
-  source.set_metrics_registry(&registry);
+  FrameOutputSource source(*dataset_, gated, ObjectClass::kCar, &registry);
 
   util::Status a_status;
   util::Result<std::vector<int>> b_counts = util::Status::Internal("not run");
@@ -1131,8 +1130,7 @@ TEST_F(OutputSourceTest, WaiterComputesItsOwnClaimsBeforeWaiting) {
   // hit. A request never waits while it holds a claim.
   util::MetricsRegistry registry;
   GatedDetector gated(/*failures=*/0);
-  FrameOutputSource source(*dataset_, gated, ObjectClass::kCar);
-  source.set_metrics_registry(&registry);
+  FrameOutputSource source(*dataset_, gated, ObjectClass::kCar, &registry);
 
   util::Status a_status;
   util::Result<std::vector<int>> b_counts = util::Status::Internal("not run");
@@ -1163,8 +1161,7 @@ TEST_F(OutputSourceTest, WaiterReclaimsAFrameAFailedScatteredOwnerReleased) {
   // are not contiguous, so A claims and releases them on the general path.
   util::MetricsRegistry registry;
   GatedDetector gated(/*failures=*/1);
-  FrameOutputSource source(*dataset_, gated, ObjectClass::kCar);
-  source.set_metrics_registry(&registry);
+  FrameOutputSource source(*dataset_, gated, ObjectClass::kCar, &registry);
 
   util::Status a_status;
   util::Result<std::vector<int>> b_counts = util::Status::Internal("not run");
@@ -1192,8 +1189,7 @@ TEST_F(OutputSourceTest, PoolEngagesAtThirtyTwoMissesPerWorker) {
   // split into max_batch_size chunks; one miss fewer runs serially and never
   // touches the pool.
   util::MetricsRegistry registry;
-  util::ThreadPool pool(4);
-  pool.set_metrics_registry(&registry);
+  util::ThreadPool pool(4, &registry);
   FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
   source.set_thread_pool(&pool);
   source.set_max_batch_size(32);
@@ -1212,15 +1208,35 @@ TEST_F(OutputSourceTest, PoolEngagesAtThirtyTwoMissesPerWorker) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics accounting: every registry counter mirrors its accessor BIT-EXACTLY.
-// The source increments both at the same sites, so the invariant must hold at
-// any thread count, on any path (serial hit/miss, pooled miss-batches).
+// Metrics accounting: the accessors read the source's own counters, whose
+// every add also lands in the registry counter of the same name. With one
+// source on a registry the two agree BIT-EXACTLY at any thread count, on any
+// path (serial hit/miss, pooled miss-batches); with several, the registry
+// holds the sum.
 // ---------------------------------------------------------------------------
+
+TEST_F(OutputSourceTest, SourcesOnOneRegistryKeepTheirOwnCountsAndTheRegistrySums) {
+  util::MetricsRegistry registry;
+  FrameOutputSource first(*dataset_, yolo_, ObjectClass::kCar, &registry);
+  FrameOutputSource second(*dataset_, yolo_, ObjectClass::kCar, &registry);
+  ASSERT_TRUE(Counts(first, {0, 1, 2, 3}, 320).ok());            // 4 misses.
+  ASSERT_TRUE(Counts(first, {0, 1}, 320).ok());                  // 2 hits.
+  ASSERT_TRUE(Counts(second, {0, 1, 2, 3, 4, 5, 6}, 608).ok());  // 7 misses.
+  ASSERT_TRUE(Counts(second, {4, 4, 5}, 608).ok());              // 3 hits.
+
+  EXPECT_EQ(first.model_invocations(), 4);
+  EXPECT_EQ(first.cache_hits(), 2);
+  EXPECT_EQ(second.model_invocations(), 7);
+  EXPECT_EQ(second.cache_hits(), 3);
+  util::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.counter("output_source.model_invocations"), 4 + 7);
+  EXPECT_EQ(snapshot.counter("output_source.cache_hits"), 2 + 3);
+  EXPECT_EQ(&first.registry(), &registry);
+}
 
 TEST_F(OutputSourceTest, MetricsMirrorAccessorsSingleThreaded) {
   util::MetricsRegistry registry;
-  FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
-  source.set_metrics_registry(&registry);
+  FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar, &registry);
 
   // Mixed workload: cold misses, repeat hits, a batched call with duplicates.
   for (int64_t frame = 0; frame < 40; ++frame) {
@@ -1241,8 +1257,7 @@ TEST_F(OutputSourceTest, MetricsMirrorAccessorsSingleThreaded) {
 
 TEST_F(OutputSourceTest, MetricsMirrorAccessorsAtEightThreads) {
   util::MetricsRegistry registry;
-  FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
-  source.set_metrics_registry(&registry);
+  FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar, &registry);
 
   // Overlapping windows from 8 caller threads: races through the hit path,
   // the in-flight wait path and the batch-install path all at once.
@@ -1276,8 +1291,7 @@ TEST_F(OutputSourceTest, MetricsMirrorAccessorsAtEightThreads) {
 
 TEST_F(OutputSourceTest, MetricsBatchHistogramCountsMissBatches) {
   util::MetricsRegistry registry;
-  FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
-  source.set_metrics_registry(&registry);
+  FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar, &registry);
   // Two batched calls with misses -> two observations whose sum is the total
   // number of distinct misses; a fully-hit call adds no observation.
   ASSERT_TRUE(Counts(source, {0, 1, 2, 3}, 320).ok());
@@ -1301,8 +1315,7 @@ TEST_F(OutputSourceTest, MetricsMirrorAccessorsAcrossFailedRequests) {
   // are counted in the registry as in the accessor.
   util::MetricsRegistry registry;
   ChunkFailingDetector failing({10, 40});
-  FrameOutputSource source(*dataset_, failing, ObjectClass::kCar);
-  source.set_metrics_registry(&registry);
+  FrameOutputSource source(*dataset_, failing, ObjectClass::kCar, &registry);
   std::vector<int64_t> range(20);
   std::iota(range.begin(), range.end(), int64_t{40});
 

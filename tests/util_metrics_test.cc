@@ -64,6 +64,41 @@ TEST(CounterTest, ExactUnderContention) {
   EXPECT_EQ(c->Value(), int64_t{kThreads} * kIncrements);
 }
 
+TEST(CounterTest, ComponentCounterReadsItsOwnTallyAndAddsToTheTotal) {
+  // Each component counter reads only its own adds; the registry counter of
+  // its name sums every component's, exactly at 8 threads, and keeps the
+  // adds of a component that is already gone.
+  MetricsRegistry registry;
+  Counter* total = registry.GetCounter("component.fact");
+  {
+    Counter gone(total);
+    gone.Add(5);
+    EXPECT_EQ(gone.Value(), 5);
+    EXPECT_EQ(gone.name(), "component.fact");
+  }
+  EXPECT_EQ(total->Value(), 5);
+
+  Counter a(total);
+  Counter b(total);
+  constexpr int kThreads = 8;
+  constexpr int kIncrements = 20000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&a, &b] {
+      for (int i = 0; i < kIncrements; ++i) {
+        a.Increment();
+        b.Add(2);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(a.Value(), int64_t{kThreads} * kIncrements);
+  EXPECT_EQ(b.Value(), 2 * int64_t{kThreads} * kIncrements);
+  EXPECT_EQ(total->Value(), 5 + 3 * int64_t{kThreads} * kIncrements);
+  EXPECT_EQ(registry.Snapshot().counter("component.fact"), total->Value());
+}
+
 TEST(GaugeTest, SetAndAdd) {
   MetricsRegistry registry;
   Gauge* g = registry.GetGauge("depth");

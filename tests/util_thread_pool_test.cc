@@ -181,8 +181,7 @@ TEST(ParallelForTest, SingleChunkRunsOnTheCallerAndQueuesNoToken) {
   // counts once in tasks_run.
   MetricsRegistry registry;
   const Gauge* depth = registry.GetGauge("thread_pool.queue_depth");
-  ThreadPool pool(4);
-  pool.set_metrics_registry(&registry);
+  ThreadPool pool(4, &registry);
   const std::thread::id caller = std::this_thread::get_id();
   const std::vector<std::pair<int64_t, int64_t>> expected = {{0, 10}};
   for (int call = 0; call < 100; ++call) {
@@ -272,8 +271,7 @@ TEST(ThreadPoolTest, ReusableAcrossWaves) {
   // inline), empty, and offset into negative indices. Each call has run,
   // and counted, every chunk of its range by the time it returns.
   MetricsRegistry registry;
-  ThreadPool pool(3);
-  pool.set_metrics_registry(&registry);
+  ThreadPool pool(3, &registry);
   struct Shape {
     int64_t first, last, chunk;
   };
@@ -338,8 +336,7 @@ TEST(ThreadPoolTest, QueueDepthGaugeNeverGoesNegative) {
   });
   std::atomic<int> counter{0};
   {
-    ThreadPool pool(4);
-    pool.set_metrics_registry(&registry);
+    ThreadPool pool(4, &registry);
     for (int wave = 0; wave < 20; ++wave) {
       pool.ParallelFor(0, 500, 16, [&counter](int64_t begin, int64_t end) {
         counter.fetch_add(static_cast<int>(end - begin));
@@ -364,8 +361,7 @@ TEST(ThreadPoolTest, TwoChunkCallLeavesNoTokenQueued) {
   // would stay queued and keep the gauge above 0.
   MetricsRegistry registry;
   const Gauge* depth = registry.GetGauge("thread_pool.queue_depth");
-  ThreadPool pool(4);
-  pool.set_metrics_registry(&registry);
+  ThreadPool pool(4, &registry);
   for (int call = 0; call < 200; ++call) {
     std::atomic<int> started{0};
     pool.ParallelFor(0, 2, 1, [&started](int64_t, int64_t) {
@@ -389,8 +385,7 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
   // dropped.
   MetricsRegistry registry;
   for (int round = 0; round < 200; ++round) {
-    ThreadPool pool(4);
-    pool.set_metrics_registry(&registry);
+    ThreadPool pool(4, &registry);
     pool.ParallelFor(0, 4, 1, [](int64_t, int64_t) {});
   }
   EXPECT_EQ(registry.GetGauge("thread_pool.queue_depth")->Value(), 0);
@@ -414,8 +409,7 @@ TEST(ThreadPoolTest, NestedInlineChunksCountInsideTheirEnclosingTask) {
   // number of outer chunks. The caller holds its chunk until a worker has
   // one, so at least one nested call runs inline on a worker.
   MetricsRegistry registry;
-  ThreadPool pool(4);
-  pool.set_metrics_registry(&registry);
+  ThreadPool pool(4, &registry);
   const std::thread::id caller = std::this_thread::get_id();
   constexpr int64_t kOuter = 8;
   constexpr int64_t kRange = 100;
@@ -445,8 +439,7 @@ TEST(ThreadPoolTest, CallsInsideAChunkFromOutsideThePoolCountOnlyTheOuterChunks)
   // chunks: only the outer chunks count.
   for (int width : {1, 4}) {
     MetricsRegistry registry;
-    ThreadPool pool(width);
-    pool.set_metrics_registry(&registry);
+    ThreadPool pool(width, &registry);
     constexpr int64_t kOuter = 4;
     constexpr int64_t kRange = 100;
     std::atomic<int64_t> covered{0};
