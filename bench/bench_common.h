@@ -101,9 +101,8 @@ struct TrialAverages {
 /// bench exits its scope. The export path comes from a "--metrics-out <p>"
 /// pair, which the constructor STRIPS from (argc, argv) so each bench's own
 /// flag parser never sees it. No path -> no export, zero overhead beyond the
-/// instruments the bench already drives. A path ending in ".csv" exports the
-/// flat CSV form; anything else gets the JSON snapshot (both written
-/// atomically through the Env seam).
+/// instruments the bench already drives. The export is the JSON snapshot,
+/// written atomically through the Env seam.
 class MetricsDumpGuard {
  public:
   MetricsDumpGuard(int& argc, char** argv) {
@@ -119,10 +118,8 @@ class MetricsDumpGuard {
 
   ~MetricsDumpGuard() {
     if (path_.empty()) return;
-    util::MetricsSnapshot snapshot = util::MetricsRegistry::Default().Snapshot();
-    const bool csv = path_.size() >= 4 && path_.compare(path_.size() - 4, 4, ".csv") == 0;
-    util::Status status = csv ? snapshot.WriteCsv(util::Env::Default(), path_)
-                              : snapshot.WriteJson(util::Env::Default(), path_);
+    util::Status status =
+        util::MetricsRegistry::Default().Snapshot().WriteJson(util::Env::Default(), path_);
     if (status.ok()) {
       std::printf("metrics written to %s\n", path_.c_str());
     } else {

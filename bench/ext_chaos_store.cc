@@ -2,8 +2,8 @@
 //
 // Sweeps a per-operation I/O fault rate (util::FaultEnv — torn writes,
 // silent bit flips, failed fsyncs/renames, read faults) and drives a
-// save / crash / load / repair loop against one persisted OutputStore,
-// checking the two durability invariants the design promises:
+// save / crash / load loop against one persisted OutputStore, checking the
+// two durability invariants the design promises:
 //
 //   1. NO COMMITTED-DATA LOSS: once a Save has succeeded, the file read
 //      through a clean env always strict-loads, bit-identical to the saved
@@ -12,9 +12,12 @@
 //      fails with a Status or yields columns whose every frame/count is
 //      bit-identical to the reference — an unverified count is never served.
 //
-// A separate bit-rot phase corrupts counts bytes at rest and runs the
-// Scrub -> RepairStore healing loop: the repaired file must scrub clean and
-// warm-start to outputs bit-identical to the original computation.
+// A separate bit-rot phase corrupts counts bytes at rest and heals the store
+// the way every tool does: an engine::Runtime warm start salvages the
+// verified columns and must report the damage, the reference requests run
+// again (recomputing exactly the lost entries as memo misses, at the
+// requests' own contrasts), and the next SaveStore must write a file
+// byte-identical to the reference store.
 //
 // Results are appended to BENCH_chaos.json (or --out FILE).
 //
@@ -23,6 +26,8 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <numeric>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -59,6 +64,19 @@ int64_t CountMismatches(const ColumnMap& want, const query::OutputStore& got) {
     }
   }
   return mismatches;
+}
+
+/// The reference computation: every frame at 320 px and contrast 1.0, then
+/// the first quarter at 608 px and contrast 0.9.
+void RunReferenceRequests(query::FrameOutputSource& source) {
+  std::vector<int64_t> all(static_cast<size_t>(source.dataset().num_frames()));
+  std::iota(all.begin(), all.end(), int64_t{0});
+  std::vector<int> scratch(all.size());
+  source.FillCounts(all, 320, 1.0, scratch).CheckOk();
+  const size_t subset = all.size() / 4;
+  source.FillCounts(std::span<const int64_t>(all.data(), subset), 608, 0.9,
+                    std::span<int>(scratch.data(), subset))
+      .CheckOk();
 }
 
 struct RateResult {
@@ -102,16 +120,7 @@ int main(int argc, char** argv) {
 
   // Reference computation: two columns through the real model.
   bench::Workload wl = bench::MakeWorkload(video::ScenePreset::kUaDetrac, "yolov4", frames);
-  {
-    std::vector<int64_t> all(static_cast<size_t>(wl.dataset->num_frames()));
-    for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int64_t>(i);
-    std::vector<int> scratch(all.size());
-    wl.source->FillCounts(all, 320, 1.0, scratch).CheckOk();
-    const size_t subset = all.size() / 4;
-    wl.source->FillCounts(std::span<const int64_t>(all.data(), subset), 608, 0.9,
-                          std::span<int>(scratch.data(), subset))
-        .CheckOk();
-  }
+  RunReferenceRequests(*wl.source);
   const query::OutputStore reference = wl.source->ExportStore();
   const ColumnMap reference_columns = IndexColumns(reference);
   std::printf("reference store: %zu columns, %lld entries\n\n", reference.columns().size(),
@@ -179,17 +188,24 @@ int main(int argc, char** argv) {
         static_cast<long long>(r.committed_load_failures));
   }
 
-  // --- Phase 2: at-rest bit rot in the counts region, healed by repair ----
+  // --- Phase 2: at-rest bit rot in the counts region, healed by a warm start
   std::printf("\nbit-rot repair cycles:\n");
   int64_t repairs = 0, entries_recomputed = 0, repair_failures = 0;
   {
     posix.RemoveFile(path).CheckOk();
     reference.Save(posix, path).CheckOk();
+    auto reference_bytes = reference.Serialize();
+    reference_bytes.status().CheckOk();
     // The file tail is the LAST column's counts array — rot bytes there so
-    // the frame list stays verifiable and repair can recompute.
+    // the salvage quarantines exactly that column as counts-corrupt.
     const int64_t last_counts_bytes =
         static_cast<int64_t>(reference.columns().back().counts.size()) * 4;
     stats::Rng rng(0xB17);
+    engine::WorkloadDesc desc;
+    desc.preset = video::ScenePreset::kUaDetrac;
+    desc.frames = frames;
+    desc.detector_name = "yolov4";
+    desc.output_store_path = path;
 
     for (int cycle = 0; cycle < 10; ++cycle) {
       auto bytes = posix.ReadFileBytes(path);
@@ -200,25 +216,31 @@ int main(int argc, char** argv) {
       (*bytes)[offset] ^= 0x20;
       posix.WriteFileAtomic(path, *bytes).CheckOk();
 
-      auto scrub = query::OutputStore::Scrub(posix, path);
-      scrub.status().CheckOk();
-      if (scrub->clean()) {
-        ++repair_failures;  // The rot must be visible to Scrub.
+      auto healer = bench::BenchRuntime().CreateIsolatedWorkload(desc);
+      healer.status().CheckOk();
+      const engine::Workload& workload = **healer;
+      if (workload.warm_start_damage().empty()) {
+        ++repair_failures;  // The rot must be visible to the warm start.
         continue;
       }
-      query::FrameOutputSource healer(*wl.dataset, *wl.model, video::ObjectClass::kCar);
-      auto repair = healer.RepairStore(posix, path);
-      if (!repair.ok() || repair->columns_dropped > 0) {
+      RunReferenceRequests(workload.source());
+      if (!bench::BenchRuntime().SaveStore(*healer).ok()) {
         ++repair_failures;
         continue;
       }
       ++repairs;
-      entries_recomputed += repair->entries_recomputed;
+      const int64_t recomputed = workload.source().model_invocations();
+      entries_recomputed += recomputed;
 
+      // Only the lost entries were recomputed, and the saved file is the
+      // reference: it strict-loads bit-identical and has the same bytes.
       auto healed = query::OutputStore::Load(posix, path);
-      if (!healed.ok() || CountMismatches(reference_columns, *healed) > 0 ||
-          healed->columns().size() != reference.columns().size()) {
-        ++repair_failures;  // Repair must restore bit-identity.
+      auto healed_bytes = posix.ReadFileBytes(path);
+      if (recomputed != reference.TotalEntries() - workload.warm_start_entries() ||
+          !healed.ok() || CountMismatches(reference_columns, *healed) > 0 ||
+          healed->columns().size() != reference.columns().size() || !healed_bytes.ok() ||
+          *healed_bytes != *reference_bytes) {
+        ++repair_failures;
       }
     }
   }

@@ -74,7 +74,8 @@ Result<CentralSystem> CentralSystem::Create(const query::QuerySpec& spec, double
 
 Status CentralSystem::AddFeed(const Camera& cam, const detect::Detector& model) {
   util::MutexLock lock(mu_.get());
-  auto [it, inserted] = feeds_.try_emplace(cam.camera_id());
+  auto [it, inserted] =
+      feeds_.try_emplace(cam.camera_id(), metrics_.batches_ingested, metrics_.breaker_trips);
   if (!inserted) {
     return Status::AlreadyExists("camera " + std::to_string(cam.camera_id()) +
                                  " already registered");
@@ -107,7 +108,7 @@ Result<int64_t> CentralSystem::feed_breaker_trips(int camera_id) const {
   if (it == feeds_.end()) {
     return Status::NotFound("camera " + std::to_string(camera_id) + " not registered");
   }
-  return it->second.breaker_trips;
+  return it->second.breaker_trips.Value();
 }
 
 void CentralSystem::RecordIngestFailure(int camera_id, Feed& feed, const char* what) {
@@ -118,17 +119,15 @@ void CentralSystem::RecordIngestFailure(int camera_id, Feed& feed, const char* w
     // The probe failed: the uplink is still bad, go straight back to open.
     feed.breaker = BreakerState::kOpen;
     feed.rejections_since_open = 0;
-    ++feed.breaker_trips;
-    metrics_.breaker_trips->Increment();
+    feed.breaker_trips.Increment();
     metrics_.breakers_open->Add(1);
     SMK_LOG(WARNING) << "camera " << camera_id << ": probe batch failed (" << what
-                     << "); breaker re-opened (trip #" << feed.breaker_trips << ")";
+                     << "); breaker re-opened (trip #" << feed.breaker_trips.Value() << ")";
   } else if (feed.breaker == BreakerState::kClosed &&
              feed.consecutive_failures >= breaker_policy_.failure_threshold) {
     feed.breaker = BreakerState::kOpen;
     feed.rejections_since_open = 0;
-    ++feed.breaker_trips;
-    metrics_.breaker_trips->Increment();
+    feed.breaker_trips.Increment();
     metrics_.breakers_open->Add(1);
     // A feed sick enough to trip the breaker cannot be trusted in estimates.
     feed.health = FeedHealth::kStale;
@@ -172,10 +171,9 @@ Status CentralSystem::Ingest(const CameraBatch& batch) {
     SMK_LOG(WARNING) << "camera " << batch.camera_id << ": replacing previous batch ("
                      << feed.delivered_frames << " frames) with a new one ("
                      << batch.delivered_frames() << " frames); batches_ingested="
-                     << feed.batches_ingested + 1;
+                     << feed.batches_ingested.Value() + 1;
   }
-  ++feed.batches_ingested;
-  metrics_.batches_ingested->Increment();
+  feed.batches_ingested.Increment();
   feed.attempted_frames = attempted;
   feed.delivered_frames = batch.delivered_frames();
 
@@ -253,7 +251,7 @@ Result<int64_t> CentralSystem::batches_ingested(int camera_id) const {
   if (it == feeds_.end()) {
     return Status::NotFound("camera " + std::to_string(camera_id) + " not registered");
   }
-  return it->second.batches_ingested;
+  return it->second.batches_ingested.Value();
 }
 
 Result<std::pair<int64_t, int64_t>> CentralSystem::feed_delivery(int camera_id) const {

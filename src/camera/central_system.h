@@ -188,7 +188,12 @@ class CentralSystem {
   /// counter, open-breakers gauge) to util::MetricsRegistry::Default().
   CentralSystem(const query::QuerySpec& spec, double delta);
 
+  /// Built in place in feeds_ (map nodes never move): its two counters are
+  /// this feed's own tallies over the registry counters of the same name.
   struct Feed {
+    Feed(util::Counter* batches_total, util::Counter* trips_total)
+        : batches_ingested(batches_total), breaker_trips(trips_total) {}
+
     const Camera* cam = nullptr;
     std::unique_ptr<query::FrameOutputSource> source;
     // Filled by Ingest():
@@ -196,7 +201,7 @@ class CentralSystem {
     FeedHealth health = FeedHealth::kNoData;
     std::vector<double> outputs;
     int64_t eligible_population = 0;
-    int64_t batches_ingested = 0;
+    util::Counter batches_ingested;
     int64_t attempted_frames = 0;
     int64_t delivered_frames = 0;
     // Streams the latest batch's outputs for the drift check.
@@ -205,7 +210,7 @@ class CentralSystem {
     BreakerState breaker = BreakerState::kClosed;
     int consecutive_failures = 0;   // Run length of failed ingests.
     int rejections_since_open = 0;  // Batches bounced by the open breaker.
-    int64_t breaker_trips = 0;
+    util::Counter breaker_trips;
   };
 
   /// Records one failed ingest (blackout or UDF error) against the feed's
@@ -219,7 +224,8 @@ class CentralSystem {
   util::Result<core::CombinedEstimate> CombineFeeds(
       const std::vector<const Feed*>& included) const SMK_REQUIRES(*mu_);
 
-  /// Registry-bound instruments (never null after construction).
+  /// Registry-bound instruments (never null after construction). Each
+  /// feed's counters add into batches_ingested and breaker_trips.
   struct Instruments {
     util::Counter* batches_ingested = nullptr;
     util::Counter* ingest_failures = nullptr;

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace smokescreen {
@@ -91,8 +90,6 @@ FrameOutputSource::Instruments::Instruments(util::MetricsRegistry& registry)
     : invocations(registry.GetCounter("output_source.model_invocations")),
       hits(registry.GetCounter("output_source.cache_hits")),
       inflight_waits(registry.GetCounter("output_source.inflight_waits")),
-      repair_columns_recomputed(registry.GetCounter("output_source.repair.columns_recomputed")),
-      repair_entries_recomputed(registry.GetCounter("output_source.repair.entries_recomputed")),
       miss_batch_size(
           registry.GetHistogram("output_source.miss_batch.frames", util::BatchSizeBoundaries())) {
 }
@@ -441,67 +438,6 @@ Result<int64_t> FrameOutputSource::Preload(const OutputStore& store) {
     }
   }
   return loaded;
-}
-
-Result<FrameOutputSource::RepairReport> FrameOutputSource::RepairStore(util::Env& env,
-                                                                       const std::string& path) {
-  SMK_ASSIGN_OR_RETURN(OutputStore::SalvageResult salvaged,
-                       OutputStore::Salvage(env, path, registry_));
-  // Provenance gate mirrors Preload: recomputing a foreign store's columns
-  // would stamp THIS model's outputs under the other store's identity.
-  if (salvaged.store.dataset_id() != dataset_.dataset_id() ||
-      salvaged.store.model_id() != detector_.model_id() ||
-      salvaged.store.num_frames() != dataset_.num_frames()) {
-    return Status::InvalidArgument(
-        "cannot repair " + path + ": store provenance (dataset " +
-        std::to_string(salvaged.store.dataset_id()) + ", model " +
-        std::to_string(salvaged.store.model_id()) + ", " +
-        std::to_string(salvaged.store.num_frames()) + " frames) does not match this source");
-  }
-
-  RepairReport report;
-  report.load = std::move(salvaged.report);
-  if (report.load.clean()) return report;  // Nothing to heal; file untouched.
-
-  OutputStore repaired(dataset_.dataset_id(), detector_.model_id(), dataset_.num_frames());
-  for (const OutputColumnRecord& column : salvaged.store.columns()) {
-    OutputColumnRecord copy = column;
-    repaired.AddColumn(std::move(copy));
-  }
-  for (const QuarantinedColumn& q : report.load.quarantined) {
-    const bool repairable = q.verdict == ColumnVerdict::kCountsCorrupt &&
-                            q.cls == static_cast<int>(target_class_) &&
-                            static_cast<int64_t>(q.frames.size()) == q.num_entries;
-    if (!repairable) {
-      ++report.columns_dropped;
-      report.entries_lost += q.num_entries;
-      continue;
-    }
-    // The frame list verified, so the exact lost triples are known; detector
-    // outputs are deterministic, so recomputation is bit-identical to what
-    // the rotten bytes used to say.
-    OutputColumnRecord recomputed;
-    recomputed.resolution = q.resolution;
-    recomputed.cls = q.cls;
-    recomputed.contrast_q = q.contrast_q;
-    recomputed.frames = q.frames;
-    recomputed.counts.resize(q.frames.size());
-    const double contrast_scale = static_cast<double>(q.contrast_q) / kContrastSteps;
-    SMK_RETURN_IF_ERROR(
-        FillCounts(recomputed.frames, q.resolution, contrast_scale, recomputed.counts));
-    ++report.columns_recomputed;
-    report.entries_recomputed += static_cast<int64_t>(recomputed.frames.size());
-    metrics_.repair_columns_recomputed->Increment();
-    metrics_.repair_entries_recomputed->Add(static_cast<int64_t>(recomputed.frames.size()));
-    repaired.AddColumn(std::move(recomputed));
-  }
-  if (report.columns_dropped > 0) {
-    SMK_LOG(WARNING) << "repair of " << path << " dropped " << report.columns_dropped
-                     << " unrecoverable columns (" << report.entries_lost << " entries)";
-  }
-  SMK_RETURN_IF_ERROR(repaired.Save(env, path));
-  report.rewritten = true;
-  return report;
 }
 
 }  // namespace query

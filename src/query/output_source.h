@@ -49,13 +49,11 @@
 #include <map>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "detect/detector.h"
 #include "query/output_store.h"
 #include "query/query_spec.h"
-#include "util/env.h"
 #include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -162,40 +160,14 @@ class FrameOutputSource {
   /// Takes no lock; a frame installed during the export may be left out.
   OutputStore ExportStore();
 
-  /// Outcome of RepairStore: what salvage found and what recomputation
-  /// recovered.
-  struct RepairReport {
-    /// Verdicts of the salvage pass over the file as found on disk.
-    LoadReport load;
-    /// Quarantined columns whose counts were recomputed through the model
-    /// (verified frame list, this source's target class).
-    int64_t columns_recomputed = 0;
-    /// Quarantined columns dropped from the repaired file: no trustworthy
-    /// frame list to recompute from, or a different target class.
-    int64_t columns_dropped = 0;
-    int64_t entries_recomputed = 0;
-    int64_t entries_lost = 0;
-    /// Whether a repaired file was atomically written (false when the store
-    /// was already clean).
-    bool rewritten = false;
-  };
-
-  /// Scrub-and-heal for a persisted store: salvage-loads `path`, recomputes
-  /// every repairable quarantined column through the model (bit-identical
-  /// to the lost data — detector outputs are deterministic), drops what
-  /// cannot be attributed, and atomically rewrites the file. A clean store
-  /// is left untouched. The store's provenance must match this source's
-  /// dataset/model (InvalidArgument otherwise — repairing a foreign store
-  /// would invoke the wrong model). Model invocations spent on repair are
-  /// tallied in model_invocations() as usual.
-  util::Result<RepairReport> RepairStore(util::Env& env, const std::string& path);
-
   /// Warm-starts the memo cache from a previously saved store. Validates
   /// that the store matches this source's dataset/model, skips columns for
   /// other target classes and for resolutions the model rejects, and does
   /// NOT touch the invocation/hit counters
   /// (preloaded entries were never computed in this run). Returns the number
-  /// of entries installed.
+  /// of entries installed. Preloading a salvaged store is how a damaged
+  /// store heals: requests recompute what was quarantined as ordinary
+  /// misses, at their own exact contrast.
   util::Result<int64_t> Preload(const OutputStore& store);
 
   /// Total UDF invocations that missed the cache (the paper's N_model).
@@ -246,8 +218,7 @@ class FrameOutputSource {
   int64_t max_batch_size_ = 0;
   util::ThreadPool* pool_ = nullptr;
 
-  /// The registry the instruments are bound to (never null); RepairStore
-  /// routes its salvage tallies here too.
+  /// The registry the instruments are bound to (never null).
   util::MetricsRegistry* const registry_;
   struct Instruments {
     explicit Instruments(util::MetricsRegistry& registry);
@@ -256,8 +227,6 @@ class FrameOutputSource {
     util::Counter invocations;
     util::Counter hits;
     util::Counter* inflight_waits;
-    util::Counter* repair_columns_recomputed;
-    util::Counter* repair_entries_recomputed;
     util::Histogram* miss_batch_size;
   };
   Instruments metrics_;

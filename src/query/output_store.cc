@@ -15,14 +15,12 @@ using util::Status;
 namespace {
 
 constexpr uint32_t kMagic = 0x434b4d53;  // "SMKC" little-endian.
-constexpr uint32_t kVersionV1 = 1;
-constexpr uint32_t kVersionV2 = 2;
+constexpr uint32_t kVersion = 2;
 
-// Byte sizes of the header and of the fixed per-column prefixes.
+// Byte sizes of the header and of the fixed per-column prefix.
 constexpr size_t kHeaderSize = 4 + 4 + 8 + 8 + 8 + 4 + 4;
-constexpr size_t kV1MetaSize = 4 + 4 + 8 + 8 + 4;           // ... + payload_crc.
-constexpr size_t kV2MetaSize = 4 + 4 + 8 + 8 + 4 + 4 + 4;  // ... + meta_crc.
-constexpr size_t kV2MetaCrcCovered = kV2MetaSize - 4;      // Fields before meta_crc.
+constexpr size_t kMetaSize = 4 + 4 + 8 + 8 + 4 + 4 + 4;  // ... + meta_crc.
+constexpr size_t kMetaCrcCovered = kMetaSize - 4;        // Fields before meta_crc.
 constexpr size_t kEntrySize = sizeof(int64_t) + sizeof(int);  // One frame + its count.
 
 // Byte-buffer writer/reader for fixed-width fields. Values are written in
@@ -84,16 +82,9 @@ class Reader {
 };
 
 void Quarantine(LoadReport& report, ColumnVerdict verdict, int resolution, int cls,
-                int64_t contrast_q, int64_t num_entries, std::vector<int64_t> frames = {}) {
-  QuarantinedColumn q;
-  q.verdict = verdict;
-  q.resolution = resolution;
-  q.cls = cls;
-  q.contrast_q = contrast_q;
-  q.num_entries = num_entries;
-  q.frames = std::move(frames);
+                int64_t contrast_q, int64_t num_entries) {
   report.entries_quarantined += num_entries;
-  report.quarantined.push_back(std::move(q));
+  report.quarantined.push_back({verdict, resolution, cls, contrast_q, num_entries});
 }
 
 /// Quarantines the tail of the file after a desync or truncation: columns
@@ -114,8 +105,6 @@ const char* ColumnVerdictName(ColumnVerdict verdict) {
       return "counts-corrupt";
     case ColumnVerdict::kFramesCorrupt:
       return "frames-corrupt";
-    case ColumnVerdict::kPayloadCorrupt:
-      return "payload-corrupt";
     case ColumnVerdict::kMetaCorrupt:
       return "meta-corrupt";
     case ColumnVerdict::kTruncated:
@@ -152,12 +141,12 @@ Result<std::vector<unsigned char>> OutputStore::Serialize() const {
     if (column.frames.size() != column.counts.size()) {
       return Status::InvalidArgument("output store column has mismatched frame/count arrays");
     }
-    image_size += kV2MetaSize + column.frames.size() * kEntrySize;
+    image_size += kMetaSize + column.frames.size() * kEntrySize;
   }
 
   Writer w(image_size);
   w.Put<uint32_t>(kMagic);
-  w.Put<uint32_t>(kVersionV2);
+  w.Put<uint32_t>(kVersion);
   w.Put<uint64_t>(dataset_id_);
   w.Put<uint64_t>(model_id_);
   w.Put<int64_t>(num_frames_);
@@ -207,7 +196,7 @@ Result<OutputStore::SalvageResult> OutputStore::Salvage(util::Env& env, const st
     return Status::InvalidArgument("not an output store file (bad magic): " + path);
   }
   const uint32_t version = r.Take<uint32_t>();
-  if (version != kVersionV1 && version != kVersionV2) {
+  if (version != kVersion) {
     return Status::InvalidArgument("unsupported output store version " +
                                    std::to_string(version));
   }
@@ -227,8 +216,7 @@ Result<OutputStore::SalvageResult> OutputStore::Salvage(util::Env& env, const st
   // A column takes at least its fixed prefix. A header declaring more
   // columns than the rest of the file could hold is forged or garbled
   // despite its CRC, and trusting it would size allocations from it.
-  const size_t meta_size = version == kVersionV2 ? kV2MetaSize : kV1MetaSize;
-  if (num_columns > r.remaining() / meta_size) {
+  if (num_columns > r.remaining() / kMetaSize) {
     return Status::DataLoss("output store header declares " + std::to_string(num_columns) +
                             " columns, more than its " + std::to_string(bytes.size()) +
                             " bytes can hold: " + path);
@@ -239,7 +227,7 @@ Result<OutputStore::SalvageResult> OutputStore::Salvage(util::Env& env, const st
   // --- Columns: per-column verdicts. Anything that verifies loads; anything
   // that does not is quarantined with as much identity as can be trusted.
   for (int64_t c = 0; c < report.columns_total; ++c) {
-    if (r.remaining() < meta_size) {
+    if (r.remaining() < kMetaSize) {
       Quarantine(report, ColumnVerdict::kTruncated, 0, 0, 0, 0);
       QuarantineTail(report, c + 1, report.columns_total);
       break;
@@ -250,30 +238,17 @@ Result<OutputStore::SalvageResult> OutputStore::Salvage(util::Env& env, const st
     column.cls = r.Take<int32_t>();
     column.contrast_q = r.Take<int64_t>();
     const int64_t num_entries = r.Take<int64_t>();
-    uint32_t frames_crc = 0, counts_crc = 0, payload_crc = 0;
-    if (version == kVersionV2) {
-      frames_crc = r.Take<uint32_t>();
-      counts_crc = r.Take<uint32_t>();
-      const uint32_t meta_crc = r.Take<uint32_t>();
-      if (meta_crc != r.CrcOfRange(meta_start, meta_start + kV2MetaCrcCovered) ||
-          num_entries < 0 ||
-          static_cast<uint64_t>(num_entries) > std::numeric_limits<size_t>::max() / kEntrySize) {
-        // Lengths are untrusted: this column cannot be stepped over, so the
-        // declared tail behind it is unreachable too.
-        Quarantine(report, ColumnVerdict::kMetaCorrupt, 0, 0, 0, 0);
-        QuarantineTail(report, c + 1, report.columns_total);
-        break;
-      }
-    } else {
-      payload_crc = r.Take<uint32_t>();
-      if (num_entries < 0 ||
-          static_cast<uint64_t>(num_entries) > std::numeric_limits<size_t>::max() / kEntrySize) {
-        // v1 has no meta CRC; a nonsensical length is the only detectable
-        // metadata desync.
-        Quarantine(report, ColumnVerdict::kMetaCorrupt, 0, 0, 0, 0);
-        QuarantineTail(report, c + 1, report.columns_total);
-        break;
-      }
+    const uint32_t frames_crc = r.Take<uint32_t>();
+    const uint32_t counts_crc = r.Take<uint32_t>();
+    const uint32_t meta_crc = r.Take<uint32_t>();
+    if (meta_crc != r.CrcOfRange(meta_start, meta_start + kMetaCrcCovered) ||
+        num_entries < 0 ||
+        static_cast<uint64_t>(num_entries) > std::numeric_limits<size_t>::max() / kEntrySize) {
+      // Lengths are untrusted: this column cannot be stepped over, so the
+      // declared tail behind it is unreachable too.
+      Quarantine(report, ColumnVerdict::kMetaCorrupt, 0, 0, 0, 0);
+      QuarantineTail(report, c + 1, report.columns_total);
+      break;
     }
 
     const size_t n = static_cast<size_t>(num_entries);
@@ -287,73 +262,35 @@ Result<OutputStore::SalvageResult> OutputStore::Salvage(util::Env& env, const st
     }
     const size_t frames_start = r.pos();
     const bool counts_present = r.remaining() >= frames_bytes + counts_bytes;
-
-    if (version == kVersionV2) {
-      const bool frames_ok = frames_crc == r.CrcOfRange(frames_start, frames_start + frames_bytes);
-      const bool counts_ok =
-          counts_present &&
-          counts_crc == r.CrcOfRange(frames_start + frames_bytes,
-                                     frames_start + frames_bytes + counts_bytes);
-      if (frames_ok && counts_ok) {
-        r.TakeArray(n, &column.frames);
-        r.TakeArray(n, &column.counts);
-        report.entries_loaded += num_entries;
-        ++report.columns_loaded;
-        store.columns_.push_back(std::move(column));
-      } else if (frames_ok) {
-        // Counts rotten (or cut off) under a verified frame list: keep the
-        // frames so Repair can recompute exactly these triples.
-        std::vector<int64_t> frames;
-        r.TakeArray(n, &frames);
-        Quarantine(report, ColumnVerdict::kCountsCorrupt, column.resolution, column.cls,
-                   column.contrast_q, num_entries, std::move(frames));
-        if (!counts_present) {  // File ends inside this column.
-          QuarantineTail(report, c + 1, report.columns_total);
-          break;
-        }
-        r.Skip(counts_bytes);
-      } else {
-        Quarantine(report, ColumnVerdict::kFramesCorrupt, column.resolution, column.cls,
-                   column.contrast_q, num_entries);
-        if (!counts_present) {
-          QuarantineTail(report, c + 1, report.columns_total);
-          break;
-        }
-        r.Skip(frames_bytes + counts_bytes);
-      }
-    } else {
-      // v1: one CRC over frames + counts jointly.
-      if (!counts_present) {
-        Quarantine(report, ColumnVerdict::kTruncated, column.resolution, column.cls,
-                   column.contrast_q, num_entries);
-        QuarantineTail(report, c + 1, report.columns_total);
-        break;
-      }
-      const bool payload_ok =
-          payload_crc == r.CrcOfRange(frames_start, frames_start + frames_bytes + counts_bytes);
-      if (payload_ok) {
-        r.TakeArray(n, &column.frames);
-        r.TakeArray(n, &column.counts);
-        report.entries_loaded += num_entries;
-        ++report.columns_loaded;
-        store.columns_.push_back(std::move(column));
-      } else {
-        // The joint CRC cannot localize the damage — and if the damage was
-        // in this column's METADATA the walk is desynced from here on, in
-        // which case the following columns quarantine too (their CRCs
-        // cannot verify against misaligned bytes). Nothing unverified is
-        // ever loaded either way.
-        Quarantine(report, ColumnVerdict::kPayloadCorrupt, column.resolution, column.cls,
-                   column.contrast_q, num_entries);
-        r.Skip(frames_bytes + counts_bytes);
-      }
+    const bool frames_ok = frames_crc == r.CrcOfRange(frames_start, frames_start + frames_bytes);
+    const bool counts_ok =
+        counts_present &&
+        counts_crc == r.CrcOfRange(frames_start + frames_bytes,
+                                   frames_start + frames_bytes + counts_bytes);
+    if (frames_ok && counts_ok) {
+      r.TakeArray(n, &column.frames);
+      r.TakeArray(n, &column.counts);
+      report.entries_loaded += num_entries;
+      ++report.columns_loaded;
+      store.columns_.push_back(std::move(column));
+      continue;
     }
+    // Counts rotten (or cut off) under a verified frame list, or a frame
+    // list that does not verify: the verdict names which CRC failed.
+    Quarantine(report,
+               frames_ok ? ColumnVerdict::kCountsCorrupt : ColumnVerdict::kFramesCorrupt,
+               column.resolution, column.cls, column.contrast_q, num_entries);
+    if (!counts_present) {  // File ends inside this column.
+      QuarantineTail(report, c + 1, report.columns_total);
+      break;
+    }
+    r.Skip(frames_bytes + counts_bytes);
   }
 
   // The verdict tallies go to the caller's registry, looked up per call, so
   // a runtime with a private registry accounts for its own warm-start
-  // salvages. Load and Scrub both route through here, so every salvage pass
-  // is covered.
+  // salvages. Load routes through here too, so every salvage pass is
+  // covered.
   if (registry == nullptr) registry = &util::MetricsRegistry::Default();
   registry->GetCounter("output_store.salvage.calls")->Increment();
   registry->GetCounter("output_store.salvage.columns_loaded")->Add(report.columns_loaded);
@@ -382,12 +319,6 @@ Result<OutputStore> OutputStore::Load(util::Env& env, const std::string& path,
 
 Result<OutputStore> OutputStore::Load(const std::string& path) {
   return Load(util::Env::Default(), path);
-}
-
-Result<LoadReport> OutputStore::Scrub(util::Env& env, const std::string& path,
-                                      util::MetricsRegistry* registry) {
-  SMK_ASSIGN_OR_RETURN(SalvageResult result, Salvage(env, path, registry));
-  return std::move(result.report);
 }
 
 }  // namespace query

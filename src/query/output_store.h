@@ -7,11 +7,11 @@
 // runs. OutputStore persists a FrameOutputSource cache snapshot so a later
 // run can warm-start and answer those triples as pure cache reads.
 //
-// v2 file layout (native little-endian, fixed-width fields):
+// File layout, version 2 (native little-endian, fixed-width fields):
 //
 //   header:
 //     u32  magic        "SMKC" (0x434b4d53)
-//     u32  version      (2; v1 files remain readable)
+//     u32  version      (2; any other version is refused)
 //     u64  dataset_id
 //     u64  model_id
 //     i64  num_frames   (of the dataset the counts were computed on)
@@ -28,23 +28,24 @@
 //     i64  frames[num_entries]   (sorted ascending)
 //     i32  counts[num_entries]
 //
-// The v1 layout differed only per column: a single `payload_crc` covered
-// frames[] + counts[] jointly and there was no meta CRC.
+// Why three CRCs per column: salvage granularity. `meta_crc` proves the
+// column SKELETON (lengths, identity), so a reader can step over a column
+// whose payload is rotten and keep loading the rest of the file. Separate
+// `frames_crc` and `counts_crc` let the salvage verdict name which part of a
+// column failed.
 //
-// Why three CRCs per column in v2: salvage granularity. `meta_crc` proves
-// the column SKELETON (lengths, identity), so a reader can step over a
-// column whose payload is rotten and keep loading the rest of the file.
-// Splitting `frames_crc` from `counts_crc` makes the common corruption case
-// SELF-HEALING: when the counts bytes rot but the frame list verifies,
-// Repair knows exactly which (frame, resolution, contrast) triples to
-// recompute through the model — bit-identical recovery instead of data loss.
+// Healing: a damaged store heals through the warm start, not here. A
+// warm-starting workload (engine::Runtime) preloads the columns that verify;
+// requests recompute the lost frames they touch as ordinary memo misses, at
+// the caller's exact contrast, and the next save writes a clean file. A
+// quarantined column no request touches is not rewritten: the store is a
+// memo cache, and a later request recomputes it at the same cost.
 //
 // Durability: Save is ATOMIC — it writes `<path>.tmp`, fsyncs, verifies the
 // bytes by readback, then renames onto `path` (util::Env::WriteFileAtomic).
 // A crash or I/O failure at any point leaves the previous store intact.
 // Load is STRICT (any corruption is an error); Salvage loads every column
-// that verifies and quarantines the rest into a LoadReport; Scrub verifies
-// without loading.
+// that verifies and quarantines the rest into a LoadReport.
 
 #ifndef SMOKESCREEN_QUERY_OUTPUT_STORE_H_
 #define SMOKESCREEN_QUERY_OUTPUT_STORE_H_
@@ -71,17 +72,13 @@ struct OutputColumnRecord {
   std::vector<int> counts;
 };
 
-/// Verdict of one column during a salvage load / scrub.
+/// Verdict of one column during a salvage load.
 enum class ColumnVerdict {
   kOk = 0,
-  /// Counts bytes fail their CRC; the frame list verifies. Repairable: the
-  /// exact triples to recompute are known.
+  /// Counts bytes fail their CRC (or are cut off); the frame list verifies.
   kCountsCorrupt,
   /// Frame list fails its CRC (counts alone are meaningless without it).
   kFramesCorrupt,
-  /// v1 only: the joint payload CRC fails; frames and counts cannot be told
-  /// apart, so nothing in the column is trustworthy.
-  kPayloadCorrupt,
   /// Column metadata fails its CRC; lengths are untrusted, so this column
   /// AND everything after it are unreachable.
   kMetaCorrupt,
@@ -100,12 +97,9 @@ struct QuarantinedColumn {
   int cls = 0;
   int64_t contrast_q = 0;
   int64_t num_entries = 0;
-  /// The verified frame list — populated ONLY for kCountsCorrupt, where it
-  /// tells Repair exactly which frames to recompute.
-  std::vector<int64_t> frames;
 };
 
-/// Per-column outcome of a salvage load or scrub.
+/// Per-column outcome of a salvage load.
 struct LoadReport {
   uint32_t file_version = 0;
   int64_t columns_total = 0;   // Declared in the (verified) header.
@@ -155,8 +149,8 @@ class OutputStore {
 
   /// Strict read: every CRC must verify. IoError on missing/unreadable
   /// files, InvalidArgument on bad magic/unknown version, DataLoss on
-  /// truncation or any CRC mismatch. Reads v1 and v2 files. `registry`
-  /// receives the salvage verdict tallies (nullptr = the process default).
+  /// truncation or any CRC mismatch. `registry` receives the salvage
+  /// verdict tallies (nullptr = the process default).
   static util::Result<OutputStore> Load(util::Env& env, const std::string& path,
                                         util::MetricsRegistry* registry = nullptr);
   static util::Result<OutputStore> Load(const std::string& path);
@@ -165,16 +159,12 @@ class OutputStore {
   /// rest into the report — partial corruption degrades the warm-start
   /// instead of discarding it. Fails (like Load) only when the file itself
   /// is unreadable or the HEADER is untrusted: nothing below a bad header
-  /// can be attributed to this store. Reads v1 and v2 files. The verdict
-  /// tallies (output_store.salvage.*) go to `registry`, looked up per call;
-  /// nullptr means the process default.
+  /// can be attributed to this store. The verdict tallies
+  /// (output_store.salvage.*) go to `registry`, looked up per call; nullptr
+  /// means the process default.
   static util::Result<SalvageResult> Salvage(util::Env& env, const std::string& path,
                                              util::MetricsRegistry* registry = nullptr);
   static util::Result<SalvageResult> Salvage(const std::string& path);
-
-  /// Verify-only pass over `path`: same checks as Salvage, no store built.
-  static util::Result<LoadReport> Scrub(util::Env& env, const std::string& path,
-                                        util::MetricsRegistry* registry = nullptr);
 
  private:
   uint64_t dataset_id_ = 0;

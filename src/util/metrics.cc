@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <thread>
 
-#include "util/csv_writer.h"
-
 namespace smokescreen {
 namespace util {
 
@@ -254,34 +252,6 @@ Status MetricsSnapshot::WriteJson(Env& env, const std::string& path) const {
   return env.WriteFileAtomic(
       path, std::span<const unsigned char>(reinterpret_cast<const unsigned char*>(json.data()),
                                            json.size()));
-}
-
-Status MetricsSnapshot::WriteCsv(Env& env, const std::string& path) const {
-  CsvWriter writer;
-  SMK_RETURN_IF_ERROR(writer.Open(path, {"kind", "name", "field", "value"}, &env));
-  for (const auto& [name, value] : counters) {
-    SMK_RETURN_IF_ERROR(
-        writer.WriteRow(std::vector<std::string>{"counter", name, "value",
-                                                 std::to_string(value)}));
-  }
-  for (const auto& [name, value] : gauges) {
-    SMK_RETURN_IF_ERROR(
-        writer.WriteRow(std::vector<std::string>{"gauge", name, "value",
-                                                 std::to_string(value)}));
-  }
-  for (const HistogramSnapshot& hist : histograms) {
-    SMK_RETURN_IF_ERROR(writer.WriteRow(
-        std::vector<std::string>{"histogram", hist.name, "count", std::to_string(hist.count)}));
-    SMK_RETURN_IF_ERROR(writer.WriteRow(
-        std::vector<std::string>{"histogram", hist.name, "sum", JsonNumber(hist.sum)}));
-    for (size_t b = 0; b < hist.buckets.size(); ++b) {
-      const std::string le =
-          b < hist.boundaries.size() ? "le=" + JsonNumber(hist.boundaries[b]) : "le=inf";
-      SMK_RETURN_IF_ERROR(writer.WriteRow(std::vector<std::string>{
-          "histogram", hist.name, le, std::to_string(hist.buckets[b])}));
-    }
-  }
-  return writer.Close();
 }
 
 }  // namespace util

@@ -41,8 +41,7 @@
 // elapsed seconds into a histogram on Stop()/destruction.
 //
 // Snapshot() freezes every instrument into plain structs and serializes to
-// JSON (WriteJson, via Env::WriteFileAtomic — atomic and chaos-testable) or
-// CSV (WriteCsv, via CsvWriter which itself writes through the Env seam).
+// JSON (WriteJson, via Env::WriteFileAtomic — atomic and chaos-testable).
 
 #ifndef SMOKESCREEN_UTIL_METRICS_H_
 #define SMOKESCREEN_UTIL_METRICS_H_
@@ -215,10 +214,6 @@ struct MetricsSnapshot {
   /// Atomically writes ToJson() to `path` via Env::WriteFileAtomic — a crash
   /// or injected fault leaves any previous export intact.
   Status WriteJson(Env& env, const std::string& path) const;
-
-  /// Writes a flat CSV (kind,name,field,value) through CsvWriter — which
-  /// itself writes through the Env seam, so fault profiles cover it.
-  Status WriteCsv(Env& env, const std::string& path) const;
 };
 
 /// Thread-safe named-instrument registry. Get* registers on first use and

@@ -16,13 +16,22 @@
 //    another, and a failed model call fails its request, caches nothing and
 //    leaves the workload servable.
 //  * Runtime options: Create rejects a negative max_batch_size.
+//  * One heal path: a store whose counts rot on disk warm-starts with the
+//    damage reported, the next request recomputes exactly the lost entries
+//    at its own contrast, and the next save writes the undamaged bytes. A
+//    rotten frame list, a torn tail and rotten column metadata heal the same
+//    way; a quarantined column no request touches is not rewritten; a store
+//    of another workload, of version 1 or with a rotten header fails the
+//    warm start and is left as it is.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <thread>
@@ -34,6 +43,8 @@
 #include "engine/profile_cache.h"
 #include "engine/runtime.h"
 #include "engine/session.h"
+#include "query/output_store.h"
+#include "util/env.h"
 #include "util/metrics.h"
 #include "video/presets.h"
 
@@ -337,6 +348,318 @@ TEST(EngineRuntimeTest, SaveStoreIsTimedInTheInjectedRegistry) {
   const util::Histogram* saves = registry.GetStageHistogram("engine.store.save.seconds");
   EXPECT_EQ(saves->TotalCount(), 2);
   std::remove(path.c_str());
+}
+
+TEST(EngineRuntimeTest, DamagedStoreHealsThroughTheWarmStart) {
+  const std::string path = testing::TempDir() + "/engine_heal_" +
+                           testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".smkc";
+  std::remove(path.c_str());
+  WorkloadDesc desc;
+  desc.preset = video::ScenePreset::kUaDetrac;
+  desc.frames = 100000;
+  desc.detector_name = "yolov4";
+  desc.target_class = video::ObjectClass::kCar;
+  desc.output_store_path = path;
+  constexpr int64_t kFrames = 25000;
+  std::vector<int64_t> frames(kFrames);
+  std::iota(frames.begin(), frames.end(), int64_t{0});
+  util::Env& env = util::Env::Default();
+
+  std::vector<int> cold_counts(kFrames);
+  {
+    auto runtime = Runtime::Create(RuntimeOptions{});
+    ASSERT_TRUE(runtime.ok());
+    auto workload = (*runtime)->GetWorkload(desc);
+    ASSERT_TRUE(workload.ok());
+    ASSERT_TRUE((*workload)->source().FillCounts(frames, 608, 0.9, cold_counts).ok());
+    ASSERT_TRUE((*runtime)->SaveStore(*workload).ok());
+  }
+  auto undamaged = env.ReadFileBytes(path);
+  ASSERT_TRUE(undamaged.ok());
+  std::vector<unsigned char> rotten = *undamaged;
+  rotten.back() ^= 0x20;  // A byte of the last count of the only column.
+  ASSERT_TRUE(env.WriteFileAtomic(path, rotten).ok());
+
+  auto runtime = Runtime::Create(RuntimeOptions{});
+  ASSERT_TRUE(runtime.ok());
+  auto workload = (*runtime)->GetWorkload(desc);
+  ASSERT_TRUE(workload.ok());
+  EXPECT_NE((*workload)->warm_start_damage().find("counts-corrupt"), std::string::npos)
+      << (*workload)->warm_start_damage();
+  EXPECT_EQ((*workload)->warm_start_entries(), 0);
+
+  // The request recomputes its lost frames as misses, at contrast 0.9.
+  // Frame 20985 tells that apart from a recompute at the column's quantized
+  // contrast, 3686/4096: the model counts 6 cars there at 0.9 and 5 at
+  // 3686/4096.
+  std::vector<int> counts(kFrames);
+  ASSERT_TRUE((*workload)->source().FillCounts(frames, 608, 0.9, counts).ok());
+  EXPECT_EQ((*workload)->source().model_invocations(), kFrames);
+  EXPECT_EQ(counts, cold_counts);
+  EXPECT_EQ(counts[20985], 6);
+  const int64_t probe = 20985;
+  int quantized = 0;
+  ASSERT_TRUE((*workload)
+                  ->detector()
+                  .CountBatch((*workload)->dataset(), std::span<const int64_t>(&probe, 1), 608,
+                              video::ObjectClass::kCar, 3686.0 / 4096.0,
+                              std::span<int>(&quantized, 1))
+                  .ok());
+  EXPECT_EQ(quantized, 5);
+
+  ASSERT_TRUE((*runtime)->SaveStore(*workload).ok());
+  auto healed = env.ReadFileBytes(path);
+  ASSERT_TRUE(healed.ok());
+  EXPECT_EQ(*healed, *undamaged);
+  std::remove(path.c_str());
+}
+
+// The heal path for each kind of damage, at 2,000 frames. A cold Runtime
+// computes two requests, all frames at 320 px and contrast 1.0 and the first
+// quarter at 608 px and contrast 0.9, and saves them as two columns. Each
+// test damages that file; a new Runtime warm-starts from it.
+class StoreHealTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kFrames = 2000;
+  static constexpr int64_t kDimFrames = kFrames / 4;
+  static constexpr size_t kHeaderSize = 40;
+  static constexpr size_t kColumnMetaSize = 36;
+
+  void SetUp() override {
+    path_ = testing::TempDir() + "/engine_heal_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() + ".smkc";
+    std::remove(path_.c_str());
+    desc_.preset = video::ScenePreset::kUaDetrac;
+    desc_.frames = kFrames;
+    desc_.output_store_path = path_;
+    all_.resize(kFrames);
+    std::iota(all_.begin(), all_.end(), int64_t{0});
+    dim_.assign(all_.begin(), all_.begin() + kDimFrames);
+
+    auto runtime = Runtime::Create(RuntimeOptions{});
+    ASSERT_TRUE(runtime.ok());
+    auto workload = (*runtime)->GetWorkload(desc_);
+    ASSERT_TRUE(workload.ok());
+    cold_all_.resize(all_.size());
+    cold_dim_.resize(dim_.size());
+    ASSERT_TRUE((*workload)->source().FillCounts(all_, 320, 1.0, cold_all_).ok());
+    ASSERT_TRUE((*workload)->source().FillCounts(dim_, 608, 0.9, cold_dim_).ok());
+    ASSERT_TRUE((*runtime)->SaveStore(*workload).ok());
+    auto bytes = util::Env::Default().ReadFileBytes(path_);
+    ASSERT_TRUE(bytes.ok());
+    undamaged_ = std::move(*bytes);
+    ASSERT_EQ(undamaged_.size(),
+              kHeaderSize + 2 * kColumnMetaSize + (kFrames + kDimFrames) * 12);
+  }
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  // Byte offsets in the undamaged file: column 0 holds the 320 px request,
+  // column 1 the 608 px one (export order is by resolution).
+  static size_t ColumnStart(int column) {
+    return column == 0 ? kHeaderSize : kHeaderSize + kColumnMetaSize + kFrames * 12;
+  }
+  static size_t FramesStart(int column) { return ColumnStart(column) + kColumnMetaSize; }
+  static size_t CountsStart(int column) {
+    return FramesStart(column) + (column == 0 ? kFrames : kDimFrames) * 8;
+  }
+
+  void WriteStore(const std::vector<unsigned char>& bytes) {
+    ASSERT_TRUE(util::Env::Default().WriteFileAtomic(path_, bytes).ok());
+  }
+  std::vector<unsigned char> ReadStore() {
+    auto bytes = util::Env::Default().ReadFileBytes(path_);
+    EXPECT_TRUE(bytes.ok());
+    return bytes.ok() ? std::move(*bytes) : std::vector<unsigned char>{};
+  }
+
+  // Re-issues both requests, which must return the cold counts and invoke
+  // the model exactly `expected_invocations` times.
+  void ExpectReissueInvokes(Workload& workload, int64_t expected_invocations) {
+    std::vector<int> counts_all(all_.size());
+    std::vector<int> counts_dim(dim_.size());
+    ASSERT_TRUE(workload.source().FillCounts(all_, 320, 1.0, counts_all).ok());
+    ASSERT_TRUE(workload.source().FillCounts(dim_, 608, 0.9, counts_dim).ok());
+    EXPECT_EQ(workload.source().model_invocations(), expected_invocations);
+    EXPECT_EQ(counts_all, cold_all_);
+    EXPECT_EQ(counts_dim, cold_dim_);
+  }
+
+  std::string path_;
+  WorkloadDesc desc_;
+  std::vector<int64_t> all_;
+  std::vector<int64_t> dim_;
+  std::vector<int> cold_all_;
+  std::vector<int> cold_dim_;
+  std::vector<unsigned char> undamaged_;
+};
+
+TEST_F(StoreHealTest, CorruptFrameListHealsThroughTheWarmStart) {
+  std::vector<unsigned char> bytes = undamaged_;
+  bytes[FramesStart(1) + 8 * 100] ^= 0x01;
+  WriteStore(bytes);
+
+  auto runtime = Runtime::Create(RuntimeOptions{});
+  ASSERT_TRUE(runtime.ok());
+  auto workload = (*runtime)->GetWorkload(desc_);
+  ASSERT_TRUE(workload.ok());
+  EXPECT_EQ((*workload)->warm_start_damage(),
+            "v2: 1/2 columns (2000 entries) loaded; quarantined: frames-corrupt");
+  EXPECT_EQ((*workload)->warm_start_entries(), kFrames);
+  ExpectReissueInvokes(**workload, kDimFrames);
+  ASSERT_TRUE((*runtime)->SaveStore(*workload).ok());
+  EXPECT_EQ(ReadStore(), undamaged_);
+}
+
+TEST_F(StoreHealTest, TruncatedStoreHealsThroughTheWarmStart) {
+  // A torn tail: the file ends inside the second column's frame list.
+  std::vector<unsigned char> bytes = undamaged_;
+  bytes.resize(FramesStart(1) + 8 * 10);
+  WriteStore(bytes);
+
+  auto runtime = Runtime::Create(RuntimeOptions{});
+  ASSERT_TRUE(runtime.ok());
+  auto workload = (*runtime)->GetWorkload(desc_);
+  ASSERT_TRUE(workload.ok());
+  EXPECT_EQ((*workload)->warm_start_damage(),
+            "v2: 1/2 columns (2000 entries) loaded; quarantined: truncated");
+  EXPECT_EQ((*workload)->warm_start_entries(), kFrames);
+  ExpectReissueInvokes(**workload, kDimFrames);
+  ASSERT_TRUE((*runtime)->SaveStore(*workload).ok());
+  EXPECT_EQ(ReadStore(), undamaged_);
+}
+
+TEST_F(StoreHealTest, CorruptMetadataHealsTheColumnsBehindItToo) {
+  // Untrusted lengths in the first column make the second unreachable:
+  // nothing preloads, and the requests recompute both columns.
+  std::vector<unsigned char> bytes = undamaged_;
+  bytes[ColumnStart(0) + 8] ^= 0x01;  // contrast_q of column 0.
+  WriteStore(bytes);
+
+  auto runtime = Runtime::Create(RuntimeOptions{});
+  ASSERT_TRUE(runtime.ok());
+  auto workload = (*runtime)->GetWorkload(desc_);
+  ASSERT_TRUE(workload.ok());
+  EXPECT_EQ((*workload)->warm_start_damage(),
+            "v2: 0/2 columns (0 entries) loaded; quarantined: meta-corrupt truncated");
+  EXPECT_EQ((*workload)->warm_start_entries(), 0);
+  ExpectReissueInvokes(**workload, kFrames + kDimFrames);
+  ASSERT_TRUE((*runtime)->SaveStore(*workload).ok());
+  EXPECT_EQ(ReadStore(), undamaged_);
+}
+
+TEST_F(StoreHealTest, QuarantinedColumnNoRequestTouchesIsNotRewritten) {
+  std::vector<unsigned char> bytes = undamaged_;
+  bytes.back() ^= 0x01;  // Last count of column 1.
+  WriteStore(bytes);
+
+  {
+    auto runtime = Runtime::Create(RuntimeOptions{});
+    ASSERT_TRUE(runtime.ok());
+    auto workload = (*runtime)->GetWorkload(desc_);
+    ASSERT_TRUE(workload.ok());
+    EXPECT_EQ((*workload)->warm_start_damage(),
+              "v2: 1/2 columns (2000 entries) loaded; quarantined: counts-corrupt");
+    // Only the 320 px request comes back: it is served from the store.
+    std::vector<int> counts(all_.size());
+    ASSERT_TRUE((*workload)->source().FillCounts(all_, 320, 1.0, counts).ok());
+    EXPECT_EQ((*workload)->source().model_invocations(), 0);
+    EXPECT_EQ(counts, cold_all_);
+    ASSERT_TRUE((*runtime)->SaveStore(*workload).ok());
+  }
+  // The save holds the verified column alone, and it loads strictly.
+  auto saved = query::OutputStore::Load(path_);
+  ASSERT_TRUE(saved.ok());
+  ASSERT_EQ(saved->columns().size(), 1u);
+  EXPECT_EQ(saved->columns()[0].resolution, 320);
+  EXPECT_EQ(saved->columns()[0].counts, cold_all_);
+
+  // A later warm start is clean; the 608 px request costs what it costs cold.
+  auto runtime = Runtime::Create(RuntimeOptions{});
+  ASSERT_TRUE(runtime.ok());
+  auto workload = (*runtime)->GetWorkload(desc_);
+  ASSERT_TRUE(workload.ok());
+  EXPECT_TRUE((*workload)->warm_start_damage().empty());
+  EXPECT_EQ((*workload)->warm_start_entries(), kFrames);
+  ExpectReissueInvokes(**workload, kDimFrames);
+}
+
+TEST_F(StoreHealTest, HealedStoreWarmStartsCleanAndNeedsNoModel) {
+  std::vector<unsigned char> bytes = undamaged_;
+  bytes[CountsStart(0) + 4 * 1000] ^= 0x10;  // Count of frame 1000, column 0.
+  WriteStore(bytes);
+  {
+    auto runtime = Runtime::Create(RuntimeOptions{});
+    ASSERT_TRUE(runtime.ok());
+    auto workload = (*runtime)->GetWorkload(desc_);
+    ASSERT_TRUE(workload.ok());
+    EXPECT_EQ((*workload)->warm_start_damage(),
+              "v2: 1/2 columns (500 entries) loaded; quarantined: counts-corrupt");
+    ExpectReissueInvokes(**workload, kFrames);
+    ASSERT_TRUE((*runtime)->SaveStore(*workload).ok());
+  }
+
+  util::MetricsRegistry registry;
+  RuntimeOptions options;
+  options.registry = &registry;
+  auto runtime = Runtime::Create(options);
+  ASSERT_TRUE(runtime.ok());
+  auto workload = (*runtime)->GetWorkload(desc_);
+  ASSERT_TRUE(workload.ok());
+  EXPECT_TRUE((*workload)->warm_start_damage().empty());
+  EXPECT_EQ((*workload)->warm_start_entries(), kFrames + kDimFrames);
+  EXPECT_EQ(registry.GetCounter("output_store.salvage.columns_quarantined")->Value(), 0);
+  ExpectReissueInvokes(**workload, 0);
+  EXPECT_EQ((*workload)->source().cache_hits(), kFrames + kDimFrames);
+}
+
+TEST_F(StoreHealTest, StoreOfAnotherWorkloadFailsTheWarmStartAndIsKept) {
+  // Another frame count or another model: nothing in the file can be
+  // attributed to the workload, so it is neither served nor overwritten.
+  WorkloadDesc shorter = desc_;
+  shorter.frames = kFrames - 1;
+  WorkloadDesc other_model = desc_;
+  other_model.detector_name = "ssd";
+  for (const WorkloadDesc& desc : {shorter, other_model}) {
+    auto runtime = Runtime::Create(RuntimeOptions{});
+    ASSERT_TRUE(runtime.ok());
+    auto workload = (*runtime)->GetWorkload(desc);
+    ASSERT_FALSE(workload.ok()) << desc.detector_name << " " << desc.frames;
+    EXPECT_EQ(workload.status().code(), util::StatusCode::kInvalidArgument)
+        << workload.status().ToString();
+  }
+  EXPECT_EQ(ReadStore(), undamaged_);
+}
+
+TEST_F(StoreHealTest, VersionOneStoreFailsTheWarmStartAndIsKept) {
+  std::vector<unsigned char> bytes = undamaged_;
+  const uint32_t version = 1;
+  std::memcpy(&bytes[4], &version, sizeof(version));
+  const uint32_t header_crc = util::Crc32(bytes.data(), kHeaderSize - 4);
+  std::memcpy(&bytes[kHeaderSize - 4], &header_crc, sizeof(header_crc));
+  WriteStore(bytes);
+
+  auto runtime = Runtime::Create(RuntimeOptions{});
+  ASSERT_TRUE(runtime.ok());
+  auto workload = (*runtime)->GetWorkload(desc_);
+  ASSERT_FALSE(workload.ok());
+  EXPECT_EQ(workload.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(workload.status().message(), "unsupported output store version 1");
+  EXPECT_EQ(ReadStore(), bytes);
+}
+
+TEST_F(StoreHealTest, CorruptHeaderFailsTheWarmStartAsDataLoss) {
+  std::vector<unsigned char> bytes = undamaged_;
+  bytes[8] ^= 0x01;  // dataset_id: the header CRC no longer verifies.
+  WriteStore(bytes);
+
+  auto runtime = Runtime::Create(RuntimeOptions{});
+  ASSERT_TRUE(runtime.ok());
+  auto workload = (*runtime)->GetWorkload(desc_);
+  ASSERT_FALSE(workload.ok());
+  EXPECT_EQ(workload.status().code(), util::StatusCode::kDataLoss);
+  EXPECT_EQ(ReadStore(), bytes);
 }
 
 TEST(EngineRuntimeTest, FailedModelCallFailsTheProfileAndCachesNothing) {

@@ -2,9 +2,11 @@
 // warm-start Preload semantics (zero invocations, zero counter pollution),
 // Status-returning rejection of mismatched, truncated and corrupted files,
 // crash-atomicity of Save under injected I/O faults, per-column salvage of
-// partially corrupt files, v1 backward compatibility, and the
-// Scrub/RepairStore self-healing loop — loading never crashes and never
-// serves an unverified count, whatever the bytes.
+// partially corrupt files, and refusal of every version but 2 — loading
+// never crashes and never serves an unverified count, whatever the bytes.
+// A salvaged store preloaded into a source heals as its requests recompute
+// the quarantined entries; the same heal through the Runtime's warm start is
+// tested in engine_serving_test.
 
 #include "query/output_store.h"
 
@@ -13,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -330,8 +333,6 @@ TEST_F(OutputStoreTest, SalvageKeepsVerifiedColumnsAndQuarantinesCorruptCounts) 
   EXPECT_EQ(q.verdict, ColumnVerdict::kCountsCorrupt);
   EXPECT_EQ(q.resolution, 608);
   EXPECT_EQ(q.contrast_q, 2048);
-  // The verified frame list survives for Repair.
-  EXPECT_EQ(q.frames, (std::vector<int64_t>{8, 9}));
 
   // The intact column loaded with its exact data.
   ASSERT_EQ(salvaged->store.columns().size(), 1u);
@@ -350,7 +351,6 @@ TEST_F(OutputStoreTest, SalvageQuarantinesCorruptFrameList) {
   ASSERT_EQ(salvaged->report.quarantined.size(), 1u);
   const QuarantinedColumn& q = salvaged->report.quarantined[0];
   EXPECT_EQ(q.verdict, ColumnVerdict::kFramesCorrupt);
-  EXPECT_TRUE(q.frames.empty());  // An unverified frame list is never kept.
   EXPECT_EQ(salvaged->report.columns_loaded, 1);
 }
 
@@ -369,8 +369,8 @@ TEST_F(OutputStoreTest, SalvageStopsAtCorruptMetadata) {
   EXPECT_EQ(salvaged->report.quarantined[1].verdict, ColumnVerdict::kTruncated);
 }
 
-// A header whose CRC verifies but whose column count the rest of the file
-// could not hold: `trailing` bytes follow the 40-byte header.
+// A 40-byte header whose CRC verifies, declaring `version` and
+// `num_columns`, followed by `trailing` zero bytes.
 std::vector<char> ForgedHeaderFile(uint32_t version, uint32_t num_columns, size_t trailing) {
   std::vector<char> bytes;
   auto put = [&bytes](const void* data, size_t n) {
@@ -399,21 +399,25 @@ TEST_F(OutputStoreTest, HeaderDeclaringMoreColumnsThanTheFileHoldsIsDataLoss) {
     ASSERT_FALSE(salvaged.ok()) << num_columns;
     EXPECT_EQ(salvaged.status().code(), util::StatusCode::kDataLoss) << num_columns;
     EXPECT_EQ(OutputStore::Load(path_).status().code(), util::StatusCode::kDataLoss);
-    EXPECT_EQ(OutputStore::Scrub(util::Env::Default(), path_).status().code(),
-              util::StatusCode::kDataLoss);
   }
-  // One byte short of the minimum: 36 bytes per v2 column, 28 per v1.
+  // One byte short of the minimum: 36 bytes per column.
   WriteBytes(ForgedHeaderFile(/*version=*/2, 3, /*trailing=*/3 * kColumnMetaSize - 1));
   EXPECT_EQ(OutputStore::Salvage(path_).status().code(), util::StatusCode::kDataLoss);
-  WriteBytes(ForgedHeaderFile(/*version=*/1, 3, /*trailing=*/3 * 28 - 1));
-  EXPECT_EQ(OutputStore::Salvage(path_).status().code(), util::StatusCode::kDataLoss);
-  // At the v1 minimum the header is believable: a zeroed v1 column is an
-  // empty one (the CRC of no bytes is 0), so all three load.
-  WriteBytes(ForgedHeaderFile(/*version=*/1, 3, /*trailing=*/3 * 28));
-  auto salvaged = OutputStore::Salvage(path_);
-  ASSERT_TRUE(salvaged.ok());
-  EXPECT_TRUE(salvaged->report.clean());
-  EXPECT_EQ(salvaged->report.columns_loaded, 3);
+}
+
+TEST_F(OutputStoreTest, EveryVersionButTwoIsInvalidArgument) {
+  // Version 1 is refused like any unknown version. Its three empty columns
+  // fill the file exactly at 28 bytes each, the minimum its layout had.
+  for (uint32_t version : {1u, 3u}) {
+    WriteBytes(ForgedHeaderFile(version, 3, /*trailing=*/3 * 28));
+    auto salvaged = OutputStore::Salvage(path_);
+    ASSERT_FALSE(salvaged.ok()) << version;
+    EXPECT_EQ(salvaged.status().code(), util::StatusCode::kInvalidArgument) << version;
+    EXPECT_EQ(salvaged.status().message(),
+              "unsupported output store version " + std::to_string(version));
+    EXPECT_EQ(OutputStore::Load(path_).status().code(), util::StatusCode::kInvalidArgument)
+        << version;
+  }
 }
 
 TEST_F(OutputStoreTest, StoreOfEmptyColumnsSalvagesClean) {
@@ -478,190 +482,171 @@ TEST_F(OutputStoreTest, SalvageTalliesBindToTheInjectedRegistry) {
   EXPECT_EQ(second.GetCounter("output_store.salvage.calls")->Value(), 1);
 }
 
-// --- v1 backward compatibility ---------------------------------------------
-
-// Hand-writes a v1-format file (joint payload CRC, no meta CRC) — the format
-// the previous release shipped — so compatibility is tested against frozen
-// bytes, not against a writer that no longer exists.
-std::vector<char> BuildV1File() {
-  std::vector<char> bytes;
-  auto put = [&bytes](const void* data, size_t n) {
-    const char* p = static_cast<const char*>(data);
-    bytes.insert(bytes.end(), p, p + n);
-  };
-  auto put32 = [&put](uint32_t v) { put(&v, 4); };
-  auto put64 = [&put](uint64_t v) { put(&v, 8); };
-
-  put32(0x434b4d53);  // magic "SMKC"
-  put32(1);           // version 1
-  put64(0xD5);        // dataset_id
-  put64(0x7E);        // model_id
-  put64(300);         // num_frames
-  put32(1);           // num_columns
-  put32(util::Crc32(bytes.data(), bytes.size()));  // header_crc
-
-  const int32_t resolution = 320;
-  const int32_t cls = static_cast<int32_t>(ObjectClass::kCar);
-  const int64_t contrast_q = 4096;
-  const std::vector<int64_t> frames = {0, 3, 17, 299};
-  const std::vector<int32_t> counts = {2, 0, 5, 11};
-  put(&resolution, 4);
-  put(&cls, 4);
-  put64(static_cast<uint64_t>(contrast_q));
-  put64(frames.size());
-  std::vector<char> payload;
-  payload.insert(payload.end(), reinterpret_cast<const char*>(frames.data()),
-                 reinterpret_cast<const char*>(frames.data()) + frames.size() * 8);
-  payload.insert(payload.end(), reinterpret_cast<const char*>(counts.data()),
-                 reinterpret_cast<const char*>(counts.data()) + counts.size() * 4);
-  put32(util::Crc32(payload.data(), payload.size()));  // joint payload_crc
-  put(payload.data(), payload.size());
-  return bytes;
-}
-
-TEST_F(OutputStoreTest, V1FileStillLoads) {
-  WriteBytes(BuildV1File());
-  auto loaded = OutputStore::Load(path_);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->dataset_id(), 0xD5u);
-  EXPECT_EQ(loaded->model_id(), 0x7Eu);
-  EXPECT_EQ(loaded->num_frames(), 300);
-  ASSERT_EQ(loaded->columns().size(), 1u);
-  EXPECT_EQ(loaded->columns()[0].frames, (std::vector<int64_t>{0, 3, 17, 299}));
-  EXPECT_EQ(loaded->columns()[0].counts, (std::vector<int>{2, 0, 5, 11}));
-}
-
-TEST_F(OutputStoreTest, V1ResaveUpgradesToV2) {
-  WriteBytes(BuildV1File());
-  auto loaded = OutputStore::Load(path_);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_TRUE(loaded->Save(path_).ok());
-  auto scrubbed = OutputStore::Scrub(util::Env::Default(), path_);
-  ASSERT_TRUE(scrubbed.ok());
-  EXPECT_EQ(scrubbed->file_version, 2u);
-  EXPECT_TRUE(scrubbed->clean());
-}
-
-TEST_F(OutputStoreTest, CorruptV1PayloadQuarantinesJointly) {
-  std::vector<char> bytes = BuildV1File();
-  bytes[bytes.size() - 1] ^= 0x01;
+TEST_F(OutputStoreTest, CorruptCountsInTheFirstColumnStillLoadTheSecond) {
+  // A quarantined column is stepped over by its verified lengths, so the
+  // column behind it loads with its exact data.
+  ASSERT_TRUE(MakeSampleStore().Save(path_).ok());
+  std::vector<char> bytes = ReadBytes();
+  bytes[ColumnFramesOffset(kSampleCol1) + 4 * 8] ^= 0x01;  // First count of column 1.
   WriteBytes(bytes);
+
   auto salvaged = OutputStore::Salvage(path_);
   ASSERT_TRUE(salvaged.ok());
-  EXPECT_EQ(salvaged->report.file_version, 1u);
-  EXPECT_EQ(salvaged->report.columns_loaded, 0);
+  const LoadReport& report = salvaged->report;
+  EXPECT_EQ(report.columns_loaded, 1);
+  EXPECT_EQ(report.entries_loaded, 2);
+  EXPECT_EQ(report.entries_quarantined, 4);
+  ASSERT_EQ(report.quarantined.size(), 1u);
+  EXPECT_EQ(report.quarantined[0].verdict, ColumnVerdict::kCountsCorrupt);
+  EXPECT_EQ(report.quarantined[0].resolution, 320);
+  EXPECT_EQ(report.quarantined[0].contrast_q, 4096);
+  EXPECT_EQ(report.quarantined[0].num_entries, 4);
+  ASSERT_EQ(salvaged->store.columns().size(), 1u);
+  const OutputColumnRecord& loaded = salvaged->store.columns()[0];
+  EXPECT_EQ(loaded.resolution, 608);
+  EXPECT_EQ(loaded.contrast_q, 2048);
+  EXPECT_EQ(loaded.frames, (std::vector<int64_t>{8, 9}));
+  EXPECT_EQ(loaded.counts, (std::vector<int>{1, 4}));
+}
+
+TEST_F(OutputStoreTest, CorruptFramesInTheFirstColumnStillLoadTheSecond) {
+  ASSERT_TRUE(MakeSampleStore().Save(path_).ok());
+  std::vector<char> bytes = ReadBytes();
+  bytes[ColumnFramesOffset(kSampleCol1) + 8] ^= 0x01;  // Second frame of column 1.
+  WriteBytes(bytes);
+
+  auto salvaged = OutputStore::Salvage(path_);
+  ASSERT_TRUE(salvaged.ok());
   ASSERT_EQ(salvaged->report.quarantined.size(), 1u);
-  // v1 cannot tell frames from counts: the whole payload is suspect, so
-  // there is no repairable frame list.
-  EXPECT_EQ(salvaged->report.quarantined[0].verdict, ColumnVerdict::kPayloadCorrupt);
-  EXPECT_TRUE(salvaged->report.quarantined[0].frames.empty());
+  EXPECT_EQ(salvaged->report.quarantined[0].verdict, ColumnVerdict::kFramesCorrupt);
+  EXPECT_EQ(salvaged->report.quarantined[0].resolution, 320);
+  EXPECT_EQ(salvaged->report.entries_quarantined, 4);
+  ASSERT_EQ(salvaged->store.columns().size(), 1u);
+  EXPECT_EQ(salvaged->store.columns()[0].frames, (std::vector<int64_t>{8, 9}));
+  EXPECT_EQ(salvaged->store.columns()[0].counts, (std::vector<int>{1, 4}));
 }
 
-// --- Scrub / Repair round trip ---------------------------------------------
-
-TEST_F(OutputStoreTest, ScrubThenRepairHealsCorruptCounts) {
-  // Compute real outputs, persist, rot one count byte on disk, repair, and
-  // the healed file must be bit-identical in effect: same outputs, clean
-  // scrub, zero invocations after a warm start.
-  QuerySpec spec;
-  FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
-  auto outputs = AllFrameOutputs(source, spec, 320);
-  ASSERT_TRUE(outputs.ok());
-  ASSERT_TRUE(source.ExportStore().Save(path_).ok());
-
-  // Flip a byte inside the counts region of the (single) column.
+TEST_F(OutputStoreTest, FileEndingInsideCountsQuarantinesThatColumnAndTheTail) {
+  // The frame list verifies and the counts are cut off: the column is
+  // counts-corrupt, and the column declared behind it is unreachable.
+  ASSERT_TRUE(MakeSampleStore().Save(path_).ok());
   std::vector<char> bytes = ReadBytes();
-  const size_t counts_offset =
-      ColumnFramesOffset(kHeaderSize) + static_cast<size_t>(dataset_->num_frames()) * 8;
-  ASSERT_LT(counts_offset + 10, bytes.size());
-  bytes[counts_offset + 10] ^= 0x40;
+  bytes.resize(ColumnFramesOffset(kSampleCol1) + 4 * 8 + 6);
   WriteBytes(bytes);
 
-  auto dirty = OutputStore::Scrub(util::Env::Default(), path_);
-  ASSERT_TRUE(dirty.ok());
-  EXPECT_FALSE(dirty->clean());
+  auto salvaged = OutputStore::Salvage(path_);
+  ASSERT_TRUE(salvaged.ok());
+  const LoadReport& report = salvaged->report;
+  EXPECT_EQ(report.columns_total, 2);
+  EXPECT_EQ(report.columns_loaded, 0);
+  EXPECT_EQ(report.entries_quarantined, 4);
+  ASSERT_EQ(report.quarantined.size(), 2u);
+  EXPECT_EQ(report.quarantined[0].verdict, ColumnVerdict::kCountsCorrupt);
+  EXPECT_EQ(report.quarantined[0].resolution, 320);
+  EXPECT_EQ(report.quarantined[1].verdict, ColumnVerdict::kTruncated);
+  EXPECT_EQ(report.quarantined[1].resolution, 0);  // Never located.
+  EXPECT_EQ(report.quarantined[1].num_entries, 0);
+  EXPECT_TRUE(salvaged->store.columns().empty());
+}
 
-  FrameOutputSource healer(*dataset_, yolo_, ObjectClass::kCar);
-  auto repair = healer.RepairStore(util::Env::Default(), path_);
-  ASSERT_TRUE(repair.ok());
-  EXPECT_TRUE(repair->rewritten);
-  EXPECT_EQ(repair->columns_recomputed, 1);
-  EXPECT_EQ(repair->entries_recomputed, dataset_->num_frames());
-  EXPECT_EQ(repair->columns_dropped, 0);
-  EXPECT_EQ(repair->entries_lost, 0);
-  // Repair invocations are honest model invocations.
-  EXPECT_EQ(healer.model_invocations(), dataset_->num_frames());
+TEST_F(OutputStoreTest, FileEndingInsideFramesQuarantinesThatColumnAsTruncated) {
+  ASSERT_TRUE(MakeSampleStore().Save(path_).ok());
+  std::vector<char> bytes = ReadBytes();
+  bytes.resize(ColumnFramesOffset(kSampleCol2) + 8);  // One of two frames.
+  WriteBytes(bytes);
 
-  auto clean = OutputStore::Scrub(util::Env::Default(), path_);
+  auto salvaged = OutputStore::Salvage(path_);
+  ASSERT_TRUE(salvaged.ok());
+  EXPECT_EQ(salvaged->report.columns_loaded, 1);
+  EXPECT_EQ(salvaged->report.entries_loaded, 4);
+  ASSERT_EQ(salvaged->report.quarantined.size(), 1u);
+  const QuarantinedColumn& q = salvaged->report.quarantined[0];
+  EXPECT_EQ(q.verdict, ColumnVerdict::kTruncated);
+  // The metadata verified, so the lost column keeps its identity.
+  EXPECT_EQ(q.resolution, 608);
+  EXPECT_EQ(q.contrast_q, 2048);
+  EXPECT_EQ(q.num_entries, 2);
+  EXPECT_EQ(salvaged->report.entries_quarantined, 2);
+}
+
+TEST_F(OutputStoreTest, FileEndingBetweenColumnsQuarantinesTheMissingColumn) {
+  ASSERT_TRUE(MakeSampleStore().Save(path_).ok());
+  std::vector<char> bytes = ReadBytes();
+  bytes.resize(kSampleCol2);  // Column 1 whole, column 2 gone.
+  WriteBytes(bytes);
+
+  auto salvaged = OutputStore::Salvage(path_);
+  ASSERT_TRUE(salvaged.ok());
+  EXPECT_EQ(salvaged->report.columns_loaded, 1);
+  ASSERT_EQ(salvaged->store.columns().size(), 1u);
+  EXPECT_EQ(salvaged->store.columns()[0].counts, (std::vector<int>{2, 0, 5, 11}));
+  ASSERT_EQ(salvaged->report.quarantined.size(), 1u);
+  EXPECT_EQ(salvaged->report.quarantined[0].verdict, ColumnVerdict::kTruncated);
+  EXPECT_EQ(salvaged->report.quarantined[0].resolution, 0);
+  EXPECT_EQ(salvaged->report.entries_quarantined, 0);
+}
+
+TEST_F(OutputStoreTest, ImpossibleEntryCountUnderAVerifiedMetaCrcIsMetaCorrupt) {
+  // A meta CRC that verifies does not make every length usable: a negative
+  // count, or one whose byte size overflows, is refused before any
+  // allocation or offset is computed from it.
+  ASSERT_TRUE(MakeSampleStore().Save(path_).ok());
+  const std::vector<char> original = ReadBytes();
+  for (int64_t num_entries : {int64_t{-1}, std::numeric_limits<int64_t>::max()}) {
+    std::vector<char> bytes = original;
+    std::memcpy(&bytes[kSampleCol2 + 16], &num_entries, sizeof(num_entries));
+    const uint32_t meta_crc = util::Crc32(&bytes[kSampleCol2], kColumnMetaSize - 4);
+    std::memcpy(&bytes[kSampleCol2 + kColumnMetaSize - 4], &meta_crc, sizeof(meta_crc));
+    WriteBytes(bytes);
+
+    auto salvaged = OutputStore::Salvage(path_);
+    ASSERT_TRUE(salvaged.ok()) << num_entries;
+    EXPECT_EQ(salvaged->report.columns_loaded, 1) << num_entries;
+    ASSERT_EQ(salvaged->report.quarantined.size(), 1u) << num_entries;
+    EXPECT_EQ(salvaged->report.quarantined[0].verdict, ColumnVerdict::kMetaCorrupt)
+        << num_entries;
+    EXPECT_EQ(salvaged->report.entries_quarantined, 0) << num_entries;
+  }
+}
+
+TEST_F(OutputStoreTest, StrictLoadNamesTheDamageAndPointsToSalvage) {
+  ASSERT_TRUE(MakeSampleStore().Save(path_).ok());
+  std::vector<char> bytes = ReadBytes();
+  bytes[bytes.size() - 1] ^= 0x01;  // Last count of column 2.
+  WriteBytes(bytes);
+
+  auto loaded = OutputStore::Load(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("v2: 1/2 columns (4 entries) loaded; "
+                                           "quarantined: counts-corrupt"),
+            std::string::npos)
+      << loaded.status().message();
+  EXPECT_NE(loaded.status().message().find("use Salvage"), std::string::npos);
+}
+
+TEST_F(OutputStoreTest, SummaryCountsLoadedColumnsAndNamesEachQuarantineInFileOrder) {
+  ASSERT_TRUE(MakeSampleStore().Save(path_).ok());
+  auto clean = OutputStore::Salvage(path_);
   ASSERT_TRUE(clean.ok());
-  EXPECT_TRUE(clean->clean());
-
-  // The healed store warm-starts a fresh source to bit-identical outputs.
-  auto healed = OutputStore::Load(path_);
-  ASSERT_TRUE(healed.ok());
-  FrameOutputSource warm(*dataset_, yolo_, ObjectClass::kCar);
-  ASSERT_TRUE(warm.Preload(*healed).ok());
-  auto warm_outputs = AllFrameOutputs(warm, spec, 320);
-  ASSERT_TRUE(warm_outputs.ok());
-  EXPECT_EQ(*warm_outputs, *outputs);
-  EXPECT_EQ(warm.model_invocations(), 0);
-}
-
-TEST_F(OutputStoreTest, RepairOfCleanStoreIsANoOp) {
-  FrameOutputSource source(*dataset_, yolo_, ObjectClass::kCar);
-  const int64_t frame = 0;
-  int count = 0;
-  ASSERT_TRUE(source.FillCounts(std::span<const int64_t>(&frame, 1), 320, 1.0,
-                                std::span<int>(&count, 1)).ok());
-  ASSERT_TRUE(source.ExportStore().Save(path_).ok());
-  const std::vector<char> before = ReadBytes();
-
-  FrameOutputSource healer(*dataset_, yolo_, ObjectClass::kCar);
-  auto repair = healer.RepairStore(util::Env::Default(), path_);
-  ASSERT_TRUE(repair.ok());
-  EXPECT_FALSE(repair->rewritten);
-  EXPECT_EQ(repair->columns_recomputed, 0);
-  EXPECT_EQ(healer.model_invocations(), 0);
-  EXPECT_EQ(ReadBytes(), before);  // File untouched.
-}
-
-TEST_F(OutputStoreTest, RepairDropsColumnsItCannotAttribute) {
-  // A kCountsCorrupt column of a DIFFERENT class cannot be recomputed by a
-  // kCar source; repair must drop it (and say so), not guess.
-  OutputStore store(dataset_->dataset_id(), yolo_.model_id(), dataset_->num_frames());
-  OutputColumnRecord column;
-  column.resolution = 320;
-  column.cls = static_cast<int>(ObjectClass::kFace);
-  column.contrast_q = 4096;
-  column.frames = {1, 2, 3};
-  column.counts = {4, 5, 6};
-  store.AddColumn(std::move(column));
-  ASSERT_TRUE(store.Save(path_).ok());
+  EXPECT_EQ(clean->report.Summary(), "v2: 2/2 columns (6 entries) loaded");
 
   std::vector<char> bytes = ReadBytes();
-  bytes[bytes.size() - 1] ^= 0x01;  // Corrupt the counts.
+  bytes[ColumnFramesOffset(kSampleCol1)] ^= 0x01;  // Column 1 frames.
+  bytes[bytes.size() - 1] ^= 0x01;                 // Column 2 counts.
   WriteBytes(bytes);
+  auto both = OutputStore::Salvage(path_);
+  ASSERT_TRUE(both.ok());
+  EXPECT_EQ(both->report.Summary(),
+            "v2: 0/2 columns (0 entries) loaded; quarantined: frames-corrupt counts-corrupt");
 
-  FrameOutputSource healer(*dataset_, yolo_, ObjectClass::kCar);
-  auto repair = healer.RepairStore(util::Env::Default(), path_);
-  ASSERT_TRUE(repair.ok());
-  EXPECT_TRUE(repair->rewritten);
-  EXPECT_EQ(repair->columns_recomputed, 0);
-  EXPECT_EQ(repair->columns_dropped, 1);
-  EXPECT_EQ(repair->entries_lost, 3);
-  EXPECT_EQ(healer.model_invocations(), 0);
-
-  auto scrubbed = OutputStore::Scrub(util::Env::Default(), path_);
-  ASSERT_TRUE(scrubbed.ok());
-  EXPECT_TRUE(scrubbed->clean());  // Dropped, but the file is honest now.
-}
-
-TEST_F(OutputStoreTest, RepairRejectsForeignProvenance) {
-  ASSERT_TRUE(MakeSampleStore().Save(path_).ok());  // dataset 0xD5, model 0x7E.
-  FrameOutputSource healer(*dataset_, yolo_, ObjectClass::kCar);
-  auto repair = healer.RepairStore(util::Env::Default(), path_);
-  ASSERT_FALSE(repair.ok());
-  EXPECT_EQ(repair.status().code(), util::StatusCode::kInvalidArgument);
+  bytes = ReadBytes();
+  bytes[kSampleCol1 + 8] ^= 0x01;  // contrast_q of column 1: meta CRC breaks.
+  WriteBytes(bytes);
+  auto meta = OutputStore::Salvage(path_);
+  ASSERT_TRUE(meta.ok());
+  EXPECT_EQ(meta->report.Summary(),
+            "v2: 0/2 columns (0 entries) loaded; quarantined: meta-corrupt truncated");
 }
 
 // --- Preload (unchanged semantics) -----------------------------------------
@@ -736,6 +721,47 @@ TEST_F(OutputStoreTest, PreloadSkipsOtherClassColumns) {
   auto preloaded = source.Preload(store);
   ASSERT_TRUE(preloaded.ok());
   EXPECT_EQ(*preloaded, 0);
+}
+
+TEST_F(OutputStoreTest, SalvagedPreloadRecomputesOnlyTheQuarantinedColumn) {
+  // The heal path below the Runtime: preload what verifies, and the next
+  // requests recompute exactly the quarantined entries, at their own
+  // contrast, so the re-export equals the undamaged one.
+  std::vector<int64_t> all(static_cast<size_t>(dataset_->num_frames()));
+  std::iota(all.begin(), all.end(), int64_t{0});
+  const std::vector<int64_t> dim = {5, 50, 150, 250};
+  FrameOutputSource cold(*dataset_, yolo_, ObjectClass::kCar);
+  std::vector<int> cold_all(all.size());
+  std::vector<int> cold_dim(dim.size());
+  ASSERT_TRUE(cold.FillCounts(all, 320, 1.0, cold_all).ok());
+  ASSERT_TRUE(cold.FillCounts(dim, 608, 0.9, cold_dim).ok());
+  auto undamaged = cold.ExportStore().Serialize();
+  ASSERT_TRUE(undamaged.ok());
+  ASSERT_TRUE(cold.ExportStore().Save(path_).ok());
+
+  std::vector<char> bytes = ReadBytes();
+  bytes[bytes.size() - 1] ^= 0x01;  // Last count of the last column.
+  WriteBytes(bytes);
+  auto salvaged = OutputStore::Salvage(path_);
+  ASSERT_TRUE(salvaged.ok());
+  ASSERT_EQ(salvaged->report.quarantined.size(), 1u);
+  ASSERT_EQ(salvaged->report.quarantined[0].resolution, 608);
+
+  FrameOutputSource warm(*dataset_, yolo_, ObjectClass::kCar);
+  auto preloaded = warm.Preload(salvaged->store);
+  ASSERT_TRUE(preloaded.ok());
+  EXPECT_EQ(*preloaded, dataset_->num_frames());
+  std::vector<int> warm_all(all.size());
+  std::vector<int> warm_dim(dim.size());
+  ASSERT_TRUE(warm.FillCounts(all, 320, 1.0, warm_all).ok());
+  EXPECT_EQ(warm.model_invocations(), 0);
+  ASSERT_TRUE(warm.FillCounts(dim, 608, 0.9, warm_dim).ok());
+  EXPECT_EQ(warm.model_invocations(), static_cast<int64_t>(dim.size()));
+  EXPECT_EQ(warm_all, cold_all);
+  EXPECT_EQ(warm_dim, cold_dim);
+  auto healed = warm.ExportStore().Serialize();
+  ASSERT_TRUE(healed.ok());
+  EXPECT_EQ(*healed, *undamaged);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "query/parser.h"
 #include "stats/normal.h"
 #include "stats/rng.h"
+#include "util/metrics.h"
 #include "video/presets.h"
 #include "video/scene_simulator.h"
 
@@ -569,6 +570,67 @@ TEST_F(BreakerTest, MalformedBatchesDoNotTouchTheBreaker) {
   }
   EXPECT_EQ(*central->feed_breaker(1), camera::BreakerState::kClosed);
   EXPECT_EQ(*central->feed_breaker_trips(1), 0);
+}
+
+TEST_F(BreakerTest, FeedsKeepTheirOwnTalliesAndTheRegistrySumsThem) {
+  // Each feed's accessors read that feed's own count; the registry counters
+  // of the same name, which CentralSystem binds in the default registry,
+  // move by the sum over feeds.
+  util::MetricsRegistry& registry = util::MetricsRegistry::Default();
+  util::Counter* batches = registry.GetCounter("central_system.batches_ingested");
+  util::Counter* trips = registry.GetCounter("central_system.breaker_trips");
+  const int64_t batches_before = batches->Value();
+  const int64_t trips_before = trips->Value();
+
+  auto central = MakeCentral();
+  ASSERT_TRUE(central.ok());
+  ASSERT_TRUE(central->set_breaker_policy(Policy(1, 1)).ok());
+  // Camera 1: a blackout trips the breaker, a good batch is rejected, and
+  // the probe blackout re-opens it: 2 batches ingested, 2 trips.
+  ASSERT_TRUE(central->Ingest(BlackoutBatch(1)).ok());
+  EXPECT_EQ(central->Ingest(GoodBatch(1)).code(), util::StatusCode::kUnavailable);
+  ASSERT_TRUE(central->Ingest(BlackoutBatch(1)).ok());
+  // Camera 2: three good batches, no trip.
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(central->Ingest(GoodBatch(2)).ok());
+
+  EXPECT_EQ(*central->batches_ingested(1), 2);
+  EXPECT_EQ(*central->feed_breaker_trips(1), 2);
+  EXPECT_EQ(*central->batches_ingested(2), 3);
+  EXPECT_EQ(*central->feed_breaker_trips(2), 0);
+  EXPECT_EQ(*central->batches_ingested(3), 0);
+  EXPECT_EQ(batches->Value() - batches_before, 5);
+  EXPECT_EQ(trips->Value() - trips_before, 2);
+}
+
+TEST_F(BreakerTest, EachCentralSystemCountsItsOwnFeedsFromZero) {
+  // Two systems register the same camera ids and bind the same registry
+  // counters; each feed's tally is its own system's, and the registry
+  // counters hold the sum of both.
+  util::MetricsRegistry& registry = util::MetricsRegistry::Default();
+  util::Counter* batches = registry.GetCounter("central_system.batches_ingested");
+  util::Counter* trips = registry.GetCounter("central_system.breaker_trips");
+  const int64_t batches_before = batches->Value();
+  const int64_t trips_before = trips->Value();
+
+  auto first = MakeCentral();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->set_breaker_policy(Policy(1, 1)).ok());
+  ASSERT_TRUE(first->Ingest(GoodBatch(1)).ok());
+  ASSERT_TRUE(first->Ingest(BlackoutBatch(1)).ok());
+
+  auto second = MakeCentral();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(*second->batches_ingested(1), 0);
+  EXPECT_EQ(*second->feed_breaker_trips(1), 0);
+  ASSERT_TRUE(second->Ingest(GoodBatch(1)).ok());
+
+  EXPECT_EQ(*first->batches_ingested(1), 2);
+  EXPECT_EQ(*first->feed_breaker_trips(1), 1);
+  EXPECT_EQ(*second->batches_ingested(1), 1);
+  EXPECT_EQ(*second->feed_breaker_trips(1), 0);
+  EXPECT_EQ(batches->Value() - batches_before, 3);
+  EXPECT_EQ(trips->Value() - trips_before, 1);
+  EXPECT_EQ(second->feed_breaker_trips(99).status().code(), util::StatusCode::kNotFound);
 }
 
 // Randomized fault profiles: Validate() partitions the space, and every

@@ -1,10 +1,12 @@
 // util::metrics: sharded-counter exactness under contention, histogram
 // bucket semantics, RAII spans, and snapshot serialization through the Env
-// seam (atomic JSON export survives injected faults).
+// seam (atomic JSON export survives injected faults; the JSON escapes any
+// name and carries every bit of its doubles).
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -280,19 +282,43 @@ TEST(SnapshotTest, WriteJsonIsAtomicUnderRenameFaults) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, WriteCsvEmitsFlatRows) {
+TEST(SnapshotTest, ToJsonEscapesBackslashesAndControlCharacters) {
   MetricsRegistry registry;
-  registry.GetCounter("c1")->Add(4);
-  registry.GetGauge("g1")->Set(6);
-  registry.GetHistogram("h1", std::vector<double>{2.0})->Observe(1.0);
-  std::string path = testing::TempDir() + "/smk_metrics.csv";
-  ASSERT_TRUE(registry.Snapshot().WriteCsv(Env::Default(), path).ok());
-  std::string csv = ReadAll(path);
-  EXPECT_NE(csv.find("kind,name,field,value"), std::string::npos);
-  EXPECT_NE(csv.find("counter,c1,value,4"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,g1,value,6"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,h1,count,1"), std::string::npos);
-  std::remove(path.c_str());
+  registry.GetCounter(std::string("a\\b\n\t\r") + '\x01')->Add(1);
+  const std::string json = registry.Snapshot().ToJson();
+  EXPECT_NE(json.find("\"a\\\\b\\n\\t\\r\\u0001\": 1"), std::string::npos) << json;
+}
+
+TEST(SnapshotTest, ToJsonOfAnEmptyRegistryIsThreeEmptyObjects) {
+  MetricsRegistry registry;
+  EXPECT_EQ(registry.Snapshot().ToJson(),
+            "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}\n}\n");
+}
+
+TEST(SnapshotTest, ToJsonHistogramNumbersParseBackExactly) {
+  // Sums and bucket bounds are doubles; the export must carry every bit, so
+  // a reader of the JSON sees the values the registry holds.
+  MetricsRegistry registry;
+  Histogram* hist = registry.GetHistogram("h", std::vector<double>{0.1, 1.0 / 3.0});
+  hist->Observe(0.1);
+  hist->Observe(0.2);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  ASSERT_EQ(snapshot.histograms.size(), 1u);
+  const HistogramSnapshot& frozen = snapshot.histograms[0];
+  const std::string json = snapshot.ToJson();
+
+  size_t at = json.find("\"sum\": ");
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_EQ(std::strtod(json.c_str() + at + 7, nullptr), frozen.sum);
+  EXPECT_EQ(frozen.sum, 0.1 + 0.2);
+  for (double bound : frozen.boundaries) {
+    at = json.find("\"le\": ", at + 1);
+    ASSERT_NE(at, std::string::npos) << json;
+    EXPECT_EQ(std::strtod(json.c_str() + at + 6, nullptr), bound);
+  }
+  at = json.find("\"le\": ", at + 1);
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_EQ(json.compare(at + 6, 4, "null"), 0);
 }
 
 TEST(BoundariesTest, DefaultsAreAscending) {

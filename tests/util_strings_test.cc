@@ -144,8 +144,7 @@ TEST(TablePrinterTest, ToCsvHasHeaderAndRows) {
   EXPECT_EQ(t.ToCsv(), "h1,h2\nv1,v2\n");
 }
 
-// CsvWriter and Timer tests moved to util_csv_writer_test.cc and
-// util_timer_test.cc alongside the metrics layer's Env-seam coverage.
+// Timer tests live in util_timer_test.cc.
 
 }  // namespace
 }  // namespace util
