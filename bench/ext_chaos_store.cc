@@ -15,8 +15,8 @@
 // A separate bit-rot phase corrupts counts bytes at rest and heals the store
 // the way every tool does: an engine::Runtime warm start salvages the
 // verified columns and must report the damage, the reference requests run
-// again (recomputing exactly the lost entries as memo misses, at the
-// requests' own contrasts), and the next SaveStore must write a file
+// again (recomputing exactly the lost entries as memo misses, at their
+// columns' contrasts), and the next SaveStore must write a file
 // byte-identical to the reference store.
 //
 // Results are appended to BENCH_chaos.json (or --out FILE).

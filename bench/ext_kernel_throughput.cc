@@ -8,9 +8,9 @@
 // the cache substrate.
 //
 // Three execution shapes are swept over both presets:
-//   * aos-scalar     — the pre-index cold path: one CountDetections call
-//                      per frame, scanning the frame's AoS object list and
-//                      branching on every object's class.
+//   * scalar         — the per-frame scalar reference: one CountDetections
+//                      call per frame, walking the frame's range of the
+//                      scene index's class column one draw at a time.
 //   * columnar       — direct Detector::CountBatch over the
 //                      class-partitioned CSR scene index: contiguous
 //                      per-class columns, per-batch constants, hoisted
@@ -22,11 +22,11 @@
 //                      pool only for at least 32 misses per worker, so
 //                      --frames below 32 x the pool width is a usage error.
 //
-// aos-scalar and columnar call the detector directly (no cache) so the
+// scalar and columnar call the detector directly (no cache) so the
 // ratio isolates the kernel; columnar+pool includes the cache substrate,
 // so on a many-core host it shows what a real cold profiling run gets.
 //
-// Every variant must produce counts bit-identical to aos-scalar, and the
+// Every variant must produce counts bit-identical to scalar, and the
 // bench FAILS (exit 1) unless, on both presets:
 //   * the best cold-path variant at batch 512 reaches >= 3x the scalar
 //     cold-path throughput, AND
@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
     std::vector<int64_t> all_frames(static_cast<size_t>(wl.dataset->num_frames()));
     std::iota(all_frames.begin(), all_frames.end(), int64_t{0});
 
-    // aos-scalar and columnar time the detector itself (no memo cache):
+    // scalar and columnar time the detector itself (no memo cache):
     // scalar is one virtual CountDetections per frame, columnar is
     // CountBatch over batch_size-sized index chunks. columnar+pool times a
     // FRESH cold FrameOutputSource (cache substrate included) with the
@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
     std::printf("--- %s ---\n", wl.label.c_str());
     util::TablePrinter table(
         {"variant", "batch size", "wall s", "frames/s", "vs scalar", "bit-identical"});
-    table.AddRow({"aos-scalar", "-", util::FormatDouble(scalar.seconds, 3),
+    table.AddRow({"scalar", "-", util::FormatDouble(scalar.seconds, 3),
                   util::FormatDouble(scalar_fps, 0), "1.00x", "(reference)"});
     for (const SweepPoint& point : sweep) {
       table.AddRow({point.variant, std::to_string(point.batch_size),

@@ -138,16 +138,5 @@ double FaultInjector::DeliveryRate() const {
   return static_cast<double>(delivered_) / static_cast<double>(attempts_);
 }
 
-void FaultInjector::ResetCounters() {
-  channel_bad_ = false;
-  attempts_ = 0;
-  delivered_ = 0;
-  lost_ = 0;
-  corrupted_ = 0;
-  truncated_ = 0;
-  blackout_drops_ = 0;
-  total_latency_sec_ = 0.0;
-}
-
 }  // namespace camera
 }  // namespace smokescreen

@@ -125,10 +125,6 @@ class FaultInjector {
   /// attempt, so a fresh injector reads as a healthy channel).
   double DeliveryRate() const;
 
-  /// Clears counters and channel state (the Rng keeps advancing so repeated
-  /// windows see fresh randomness; re-Create for bitwise replay).
-  void ResetCounters();
-
  private:
   explicit FaultInjector(FaultProfile profile);
 

@@ -76,20 +76,6 @@ Result<EstimationResult> EstimateFromOutputs(const query::QuerySpec& spec,
                                 resolution, delta);
 }
 
-Result<EstimationResult> EstimateFromFrames(query::FrameOutputSource& source,
-                                            const query::QuerySpec& spec,
-                                            std::span<const int64_t> frames,
-                                            int64_t eligible_population,
-                                            int64_t original_population, int resolution,
-                                            double contrast_scale, double delta) {
-  SMK_RETURN_IF_ERROR(spec.Validate());
-  if (frames.empty()) return Status::InvalidArgument("no frames to estimate from");
-  query::OutputColumn column;
-  SMK_RETURN_IF_ERROR(source.AppendOutputs(spec, frames, resolution, contrast_scale, column));
-  return EstimateFromOutputs(spec, column.output_span(), eligible_population,
-                             original_population, resolution, delta);
-}
-
 Result<EstimationResult> ResultErrorEst(query::FrameOutputSource& source,
                                         const detect::ClassPriorIndex& prior,
                                         const query::QuerySpec& spec,
@@ -98,9 +84,13 @@ Result<EstimationResult> ResultErrorEst(query::FrameOutputSource& source,
   SMK_ASSIGN_OR_RETURN(degrade::DegradedView view,
                        degrade::DegradedView::Create(source.dataset(), prior, interventions,
                                                      source.detector().max_resolution(), rng));
-  return EstimateFromFrames(source, spec, view.sampled_frames(), view.eligible_population(),
-                            view.original_population(), view.resolution(),
-                            view.contrast_scale(), delta);
+  SMK_RETURN_IF_ERROR(spec.Validate());
+  if (view.sampled_frames().empty()) return Status::InvalidArgument("no frames to estimate from");
+  query::OutputColumn column;
+  SMK_RETURN_IF_ERROR(source.AppendOutputs(spec, view.sampled_frames(), view.resolution(),
+                                           view.contrast_scale(), column));
+  return EstimateFromOutputs(spec, column.output_span(), view.eligible_population(),
+                             view.original_population(), view.resolution(), delta);
 }
 
 }  // namespace core

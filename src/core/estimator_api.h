@@ -38,23 +38,15 @@ struct EstimationResult {
   int resolution = 0;
 };
 
-/// Runs the query under `interventions` and estimates answer + error bound.
-/// Randomness: frame sampling only, driven by `rng` (detector outputs are
-/// deterministic).
+/// Runs the query under `interventions` and estimates answer + error bound:
+/// samples the degraded view, fetches its outputs with one batched request,
+/// then delegates to EstimateFromOutputs. Randomness: frame sampling only,
+/// driven by `rng` (detector outputs are deterministic).
 util::Result<EstimationResult> ResultErrorEst(query::FrameOutputSource& source,
                                               const detect::ClassPriorIndex& prior,
                                               const query::QuerySpec& spec,
                                               const degrade::InterventionSet& interventions,
                                               double delta, stats::Rng& rng);
-
-/// Estimation from an explicit list of pre-sampled frames: fetches the
-/// outputs with one batched request, then delegates to EstimateFromOutputs.
-util::Result<EstimationResult> EstimateFromFrames(query::FrameOutputSource& source,
-                                                  const query::QuerySpec& spec,
-                                                  std::span<const int64_t> frames,
-                                                  int64_t eligible_population,
-                                                  int64_t original_population, int resolution,
-                                                  double contrast_scale, double delta);
 
 /// Reusable buffers for estimation loops. The quantile path sorts the
 /// outputs it folds in inside `sort_buffer`; passing the same scratch to

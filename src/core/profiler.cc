@@ -197,7 +197,7 @@ Result<Profile> Profiler::Generate(const std::vector<InterventionSet>& candidate
   for (const InterventionSet& candidate : candidates) {
     SMK_RETURN_IF_ERROR(candidate.Validate());
     GroupKey key{candidate.resolution, candidate.restricted.mask(),
-                 query::QuantizeContrast(candidate.contrast_scale)};
+                 detect::QuantizeContrast(candidate.contrast_scale)};
     groups[key].push_back(candidate);
   }
 

@@ -53,18 +53,16 @@ Result<DegradationSavings> EstimateSavings(const video::VideoDataset& dataset,
   // frame is eligible AND its effective size at the reduced resolution stays
   // above the recognition threshold. The sampling intervention scales
   // uniformly (each eligible frame equally likely).
-  int64_t faces_total = 0;
+  const video::SceneIndex& index = dataset.scene_index();
+  const std::vector<double>& face_sizes = index.columns(ObjectClass::kFace).sizes;
+  const int64_t faces_total = index.class_total(ObjectClass::kFace);
   int64_t faces_recognizable_eligible = 0;
-  std::vector<bool> is_eligible(static_cast<size_t>(total), false);
-  for (int64_t idx : eligible) is_eligible[static_cast<size_t>(idx)] = true;
   double sampling_share = static_cast<double>(transmitted) /
                           std::max<double>(1.0, static_cast<double>(eligible.size()));
-  for (int64_t i = 0; i < total; ++i) {
-    for (const video::GtObject& obj : dataset.frame(i).objects) {
-      if (obj.cls != ObjectClass::kFace) continue;
-      ++faces_total;
-      if (!is_eligible[static_cast<size_t>(i)]) continue;
-      double effective_size = obj.apparent_size * res_ratio * interventions.contrast_scale;
+  for (int64_t f : eligible) {
+    for (uint32_t j = index.begin(ObjectClass::kFace, f); j < index.end(ObjectClass::kFace, f);
+         ++j) {
+      double effective_size = face_sizes[j] * res_ratio * interventions.contrast_scale;
       if (effective_size >= kFaceRecognitionSizePx) ++faces_recognizable_eligible;
     }
   }

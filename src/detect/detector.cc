@@ -19,8 +19,6 @@ namespace detect {
 
 using util::Result;
 using util::Status;
-using video::Frame;
-using video::GtObject;
 using video::ObjectClass;
 using video::VideoDataset;
 
@@ -78,8 +76,8 @@ constexpr double kTwo53 = 9007199254740992.0;  // 2^53; u = (hash >> 11) / 2^53.
 // out of line so the hot kernel loop contains no libm call site (std::exp
 // would otherwise force the register allocator to spill the hash stream and
 // column pointers across every iteration). The expression matches
-// ObjectRecall / CountFrameImpl literally, which is what makes the banded
-// decision bit-identical to the scalar path.
+// ObjectRecall literally, which is what makes the banded decision
+// bit-identical to the scalar path.
 [[gnu::noinline]] bool ExactRecallDetect(double s_eff, double s50, double width, double plateau,
                                          uint64_t h) {
   const double recall = plateau / (1.0 + std::exp(-(s_eff - s50) / width));
@@ -600,64 +598,22 @@ CalibratedDetector::RecallBands CalibratedDetector::BuildRecallBands(
   return bands;
 }
 
-double CalibratedDetector::ObjectRecall(const GtObject& obj, int resolution,
-                                        int reference_resolution, double contrast_scale) const {
-  const ClassCalibration& cal = calibrations_[static_cast<size_t>(obj.cls)];
+double CalibratedDetector::ObjectRecall(ObjectClass cls, double apparent_size, double contrast,
+                                        int resolution, int reference_resolution,
+                                        double contrast_scale) const {
+  const ClassCalibration& cal = calibrations_[static_cast<size_t>(cls)];
   double scale = static_cast<double>(resolution) / static_cast<double>(reference_resolution);
-  double clarity = obj.contrast * contrast_scale;
-  double s_eff = obj.apparent_size * scale * clarity;
+  double clarity = contrast * contrast_scale;
+  double s_eff = apparent_size * scale * clarity;
   double recall = cal.plateau / (1.0 + std::exp(-(s_eff - cal.s50) / cal.width));
   return recall;
 }
 
-double CalibratedDetector::DuplicateProbability(const Frame& /*frame*/, int /*resolution*/,
-                                                ObjectClass /*cls*/) const {
-  return 0.0;
-}
-
-void CalibratedDetector::DuplicateProbabilityBatch(const VideoDataset& dataset,
-                                                   std::span<const int64_t> frame_indices,
-                                                   int resolution, ObjectClass cls,
+void CalibratedDetector::DuplicateProbabilityBatch(const VideoDataset& /*dataset*/,
+                                                   std::span<const int64_t> /*frame_indices*/,
+                                                   int /*resolution*/, ObjectClass /*cls*/,
                                                    std::span<double> out) const {
-  for (size_t i = 0; i < frame_indices.size(); ++i) {
-    out[i] = DuplicateProbability(dataset.frame(frame_indices[i]), resolution, cls);
-  }
-}
-
-int CalibratedDetector::CountFrameImpl(const VideoDataset& dataset, const Frame& frame,
-                                       int resolution, ObjectClass cls, double contrast_scale,
-                                       const ClassCalibration& cal, uint64_t res_bits,
-                                       uint64_t cls_bits, uint64_t contrast_bits,
-                                       double res_factor) const {
-  double dup_prob = DuplicateProbability(frame, resolution, cls);
-
-  int count = 0;
-  for (const GtObject& obj : frame.objects) {
-    if (obj.cls != cls) continue;
-    double recall = ObjectRecall(obj, resolution, dataset.full_resolution(), contrast_scale);
-    bool detected = stats::StatelessBernoulli(
-        recall, {dataset.dataset_id(), static_cast<uint64_t>(frame.frame_id),
-                 static_cast<uint64_t>(obj.track_id), res_bits, model_id_, cls_bits,
-                 contrast_bits, /*purpose=*/0x11});
-    if (!detected) continue;
-    ++count;
-    if (dup_prob > 0.0 &&
-        stats::StatelessBernoulli(
-            dup_prob, {dataset.dataset_id(), static_cast<uint64_t>(frame.frame_id),
-                       static_cast<uint64_t>(obj.track_id), res_bits, model_id_, cls_bits,
-                       contrast_bits, /*purpose=*/0x22})) {
-      ++count;  // NMS failure: the object is reported twice.
-    }
-  }
-
-  // Clutter-driven false positives. Slightly elevated at reduced resolution
-  // (small textures are more ambiguous), mildly elevated in crowded frames.
-  double clutter_factor = 1.0 + 0.03 * static_cast<double>(frame.objects.size());
-  double fp_lambda = cal.fp_rate * res_factor * clutter_factor;
-  count += stats::StatelessPoisson(
-      fp_lambda, {dataset.dataset_id(), static_cast<uint64_t>(frame.frame_id), res_bits,
-                  model_id_, cls_bits, contrast_bits, /*purpose=*/0x33});
-  return count;
+  std::fill(out.begin(), out.end(), 0.0);
 }
 
 Result<int> CalibratedDetector::CountDetections(const VideoDataset& dataset, int64_t frame_index,
@@ -668,17 +624,47 @@ Result<int> CalibratedDetector::CountDetections(const VideoDataset& dataset, int
     return Status::OutOfRange("frame index " + std::to_string(frame_index) + " out of [0, " +
                               std::to_string(dataset.num_frames()) + ")");
   }
-  const Frame& frame = dataset.frame(frame_index);
+  const video::SceneIndex& index = dataset.scene_index();
+  const video::SceneIndex::ClassColumns& col = index.columns(cls);
   const ClassCalibration& cal = calibrations_[static_cast<size_t>(cls)];
+  const size_t f = static_cast<size_t>(frame_index);
+  const uint64_t frame_word = index.frame_id_words()[f];
   const uint64_t res_bits = static_cast<uint64_t>(resolution);
   const uint64_t cls_bits = static_cast<uint64_t>(cls);
-  const uint64_t contrast_bits =
-      static_cast<uint64_t>(std::llround(contrast_scale * 4096.0));
+  const uint64_t contrast_bits = static_cast<uint64_t>(QuantizeContrast(contrast_scale));
+  double dup_prob = 0.0;
+  DuplicateProbabilityBatch(dataset, std::span<const int64_t>(&frame_index, 1), resolution, cls,
+                            std::span<double>(&dup_prob, 1));
+
+  int count = 0;
+  for (uint32_t j = col.offsets[f]; j < col.offsets[f + 1]; ++j) {
+    double recall = ObjectRecall(cls, col.sizes[j], col.contrasts[j], resolution,
+                                 dataset.full_resolution(), contrast_scale);
+    bool detected = stats::StatelessBernoulli(
+        recall, {dataset.dataset_id(), frame_word, col.track_words[j], res_bits, model_id_,
+                 cls_bits, contrast_bits, /*purpose=*/0x11});
+    if (!detected) continue;
+    ++count;
+    if (dup_prob > 0.0 &&
+        stats::StatelessBernoulli(
+            dup_prob, {dataset.dataset_id(), frame_word, col.track_words[j], res_bits, model_id_,
+                       cls_bits, contrast_bits, /*purpose=*/0x22})) {
+      ++count;  // NMS failure: the object is reported twice.
+    }
+  }
+
+  // Clutter-driven false positives. Slightly elevated at reduced resolution
+  // (small textures are more ambiguous), mildly elevated in crowded frames:
+  // the clutter statistic counts objects of ALL classes.
   const double res_factor =
       1.0 + 0.5 * (1.0 - static_cast<double>(resolution) /
                              static_cast<double>(dataset.full_resolution()));
-  return CountFrameImpl(dataset, frame, resolution, cls, contrast_scale, cal, res_bits,
-                        cls_bits, contrast_bits, res_factor);
+  double clutter_factor = 1.0 + 0.03 * static_cast<double>(index.total_objects()[f]);
+  double fp_lambda = cal.fp_rate * res_factor * clutter_factor;
+  count += stats::StatelessPoisson(
+      fp_lambda, {dataset.dataset_id(), frame_word, res_bits, model_id_, cls_bits, contrast_bits,
+                  /*purpose=*/0x33});
+  return count;
 }
 
 Status CalibratedDetector::CountBatch(const VideoDataset& dataset,
@@ -706,8 +692,7 @@ Status CalibratedDetector::CountBatch(const VideoDataset& dataset,
   const ClassCalibration& cal = calibrations_[static_cast<size_t>(cls)];
   const uint64_t res_bits = static_cast<uint64_t>(resolution);
   const uint64_t cls_bits = static_cast<uint64_t>(cls);
-  const uint64_t contrast_bits =
-      static_cast<uint64_t>(std::llround(contrast_scale * 4096.0));
+  const uint64_t contrast_bits = static_cast<uint64_t>(QuantizeContrast(contrast_scale));
   const double res_factor =
       1.0 + 0.5 * (1.0 - static_cast<double>(resolution) /
                              static_cast<double>(dataset.full_resolution()));

@@ -20,6 +20,7 @@
 #define SMOKESCREEN_DETECT_DETECTOR_H_
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -32,6 +33,17 @@
 
 namespace smokescreen {
 namespace detect {
+
+/// Contrast steps per unit of contrast scale. The detectors hash contrast as
+/// QuantizeContrast(c), and the memo, its store records and the profiler's
+/// candidate groups key it the same way, so contrasts in one
+/// 1/kContrastSteps step share one memo column.
+inline constexpr double kContrastSteps = 4096.0;
+
+/// `contrast_scale` quantized to 1/kContrastSteps steps.
+inline int64_t QuantizeContrast(double contrast_scale) {
+  return std::llround(contrast_scale * kContrastSteps);
+}
 
 /// Per-class logistic calibration of a detector at its confidence threshold.
 struct ClassCalibration {
@@ -95,6 +107,9 @@ class CalibratedDetector : public Detector {
   int max_resolution() const override { return max_resolution_; }
   int resolution_stride() const override { return resolution_stride_; }
 
+  /// The per-frame scalar reference the batch kernel is checked against:
+  /// walks frame `frame_index`'s range of the scene index's `cls` column and
+  /// makes each draw through stats::StatelessBernoulli / StatelessPoisson.
   util::Result<int> CountDetections(const video::VideoDataset& dataset, int64_t frame_index,
                                     int resolution, video::ObjectClass cls,
                                     double contrast_scale) const override;
@@ -113,36 +128,24 @@ class CalibratedDetector : public Detector {
                           video::ObjectClass cls, double contrast_scale,
                           std::span<int> out) const override;
 
-  /// Recall of one object at the given resolution (exposed for tests and
-  /// calibration plots).
-  double ObjectRecall(const video::GtObject& obj, int resolution, int reference_resolution,
-                      double contrast_scale) const;
+  /// Recall of one object of class `cls`, with the given apparent size and
+  /// contrast, at the given resolution (exposed for tests and calibration
+  /// plots).
+  double ObjectRecall(video::ObjectClass cls, double apparent_size, double contrast,
+                      int resolution, int reference_resolution, double contrast_scale) const;
 
  protected:
-  /// Probability that a *detected* object is reported twice (NMS failure).
-  /// Default 0; SimYoloV4 overrides this with its 384px night-scene quirk.
-  virtual double DuplicateProbability(const video::Frame& frame, int resolution,
-                                      video::ObjectClass cls) const;
-
-  /// Batched counterpart: fills `out[i]` with DuplicateProbability for
-  /// `frame_indices[i]`, value-identical to per-frame calls. The base
-  /// implementation loops the per-frame virtual; a model whose duplicate
-  /// term is a closed form over scene fields overrides it with a tight
-  /// non-virtual loop over the scene index's flat columns, so the batch
-  /// kernel's frame pass carries no per-frame indirect call.
+  /// Fills `out[i]` with the probability that a *detected* object of `cls`
+  /// in frame `frame_indices[i]` is reported twice (NMS failure). The base
+  /// model never duplicates and fills zeros; SimYoloV4 overrides it with its
+  /// 384px night-scene quirk, read from the scene index's flat columns.
+  /// Both counting paths ask it, the batch kernel once per batch and the
+  /// scalar CountDetections for its one frame.
   virtual void DuplicateProbabilityBatch(const video::VideoDataset& dataset,
                                          std::span<const int64_t> frame_indices, int resolution,
                                          video::ObjectClass cls, std::span<double> out) const;
 
  private:
-  /// Per-frame counting core shared by the scalar and batched entry points,
-  /// so both produce literally the same arithmetic (bit-identical counts).
-  /// All frame-independent setup is passed in precomputed.
-  int CountFrameImpl(const video::VideoDataset& dataset, const video::Frame& frame,
-                     int resolution, video::ObjectClass cls, double contrast_scale,
-                     const ClassCalibration& cal, uint64_t res_bits, uint64_t cls_bits,
-                     uint64_t contrast_bits, double res_factor) const;
-
   /// Guard-banded lookup acceleration for the recall Bernoulli, built once
   /// per class at construction. The [0, s_detect_certain) range of effective
   /// object size is cut into kBands buckets; each stores CONSERVATIVE

@@ -79,24 +79,12 @@ SimYoloV4::SimYoloV4()
   }
 }
 
-double SimYoloV4::DuplicateProbability(const video::Frame& frame, int resolution,
-                                       ObjectClass cls) const {
-  if (cls != ObjectClass::kCar) return 0.0;
-  if (frame.scene_contrast >= 0.65) return 0.0;  // Daytime scenes unaffected.
-  const int idx = resolution / 32;
-  if (resolution % 32 == 0 && idx >= 1 && idx <= static_cast<int>(dup_by_resolution_.size())) {
-    return dup_by_resolution_[static_cast<size_t>(idx - 1)];
-  }
-  return YoloDuplicateBump(resolution);  // Off-stride resolution (tests only).
-}
-
 void SimYoloV4::DuplicateProbabilityBatch(const video::VideoDataset& dataset,
                                           std::span<const int64_t> frame_indices, int resolution,
                                           video::ObjectClass cls, std::span<double> out) const {
-  // Same decision tree as the per-frame virtual with the frame-independent
-  // parts hoisted: the resolution bump is one double, and only the
-  // scene-contrast gate varies per frame (read from the index's flat
-  // column).
+  // The resolution bump is one double for the whole batch; only the
+  // scene-contrast gate varies per frame. Daytime scenes (contrast >= 0.65)
+  // are unaffected.
   double p = 0.0;
   if (cls == ObjectClass::kCar) {
     const int idx = resolution / 32;

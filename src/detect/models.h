@@ -26,13 +26,9 @@ class SimYoloV4 : public CalibratedDetector {
   SimYoloV4();
 
  protected:
-  double DuplicateProbability(const video::Frame& frame, int resolution,
-                              video::ObjectClass cls) const override;
-
-  /// Batch form: the bump is one resolution-dependent probability gated per
-  /// frame on scene contrast, so the loop reads the scene index's flat
-  /// contrast column with everything else hoisted. Value-identical to the
-  /// per-frame virtual.
+  /// The Figure 7/8 duplicate term: one resolution-dependent probability
+  /// for cars, gated per frame on scene contrast, so the loop reads the
+  /// scene index's flat contrast column with everything else hoisted.
   void DuplicateProbabilityBatch(const video::VideoDataset& dataset,
                                  std::span<const int64_t> frame_indices, int resolution,
                                  video::ObjectClass cls, std::span<double> out) const override;

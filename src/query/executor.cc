@@ -1,5 +1,6 @@
 #include "query/executor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -33,24 +34,26 @@ Result<SkippedScan> AllOutputsWithSkipping(FrameOutputSource& source, const Quer
   const video::VideoDataset& dataset = source.dataset();
   // The skips depend on track ids only, never on a count, so the frames to
   // process are picked first and fetched with one request. `source_of[i]`
-  // is the position in `processed` whose output frame i reuses.
+  // is the position in `processed` whose output frame i reuses. The cheap
+  // "frame difference detector" compares a frame's run of target-class
+  // track words in the scene index (tracks are emitted in stable order per
+  // frame) with the last processed frame's run; the sequences partition the
+  // frames in order, and each one starts a new run.
+  const video::SceneIndex& index = dataset.scene_index();
+  const video::ObjectClass cls = source.target_class();
+  const uint64_t* tracks = index.columns(cls).track_words.data();
   std::vector<int64_t> processed;
   std::vector<size_t> source_of(static_cast<size_t>(dataset.num_frames()));
-  std::vector<int64_t> prev_tracks;
-  for (int64_t i = 0; i < dataset.num_frames(); ++i) {
-    // The cheap "frame difference detector": the multiset of target-class
-    // track ids (sorted; tracks are emitted in stable order per frame).
-    std::vector<int64_t> tracks;
-    for (const video::GtObject& obj : dataset.frame(i).objects) {
-      if (obj.cls == source.target_class()) tracks.push_back(obj.track_id);
+  for (const video::SequenceInfo& seq : dataset.sequences()) {
+    for (int64_t i = seq.first_frame; i < seq.first_frame + seq.num_frames; ++i) {
+      if (i == seq.first_frame ||
+          !std::equal(tracks + index.begin(cls, i), tracks + index.end(cls, i),
+                      tracks + index.begin(cls, processed.back()),
+                      tracks + index.end(cls, processed.back()))) {
+        processed.push_back(i);
+      }
+      source_of[static_cast<size_t>(i)] = processed.size() - 1;
     }
-    bool same_sequence =
-        i > 0 && dataset.frame(i).sequence_id == dataset.frame(i - 1).sequence_id;
-    if (processed.empty() || !same_sequence || tracks != prev_tracks) {
-      processed.push_back(i);
-      prev_tracks = std::move(tracks);
-    }
-    source_of[static_cast<size_t>(i)] = processed.size() - 1;
   }
   OutputColumn column;
   SMK_RETURN_IF_ERROR(source.AppendOutputs(spec, processed, resolution, contrast_scale, column));

@@ -204,7 +204,11 @@ Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int
   // would cost memory and be exported into every later checkpoint.
   SMK_RETURN_IF_ERROR(detector_.ValidateResolution(resolution));
 
-  Column& col = ColumnFor(resolution, QuantizeContrast(contrast_scale));
+  // Every contrast in one quantization step computes at the column's own
+  // contrast, so a column's counts do not depend on which request filled it.
+  const int64_t contrast_q = detect::QuantizeContrast(contrast_scale);
+  const double column_contrast = static_cast<double>(contrast_q) / detect::kContrastSteps;
+  Column& col = ColumnFor(resolution, contrast_q);
 
   // Fast path: a contiguous fully cold range (the profiler's full scans,
   // the kernel bench) claims all its bits word-wise, lets the model write
@@ -221,7 +225,7 @@ Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int
       }
     }
     if (claimed) {
-      Status status = ComputeMisses(frame_indices, resolution, contrast_scale, out);
+      Status status = ComputeMisses(frame_indices, resolution, column_contrast, out);
       {
         util::MutexLock lock(&col.mu);
         if (status.ok()) {
@@ -303,7 +307,7 @@ Status FrameOutputSource::FillCounts(std::span<const int64_t> frame_indices, int
 
     if (!miss_frames.empty()) {
       std::vector<int> miss_counts(miss_frames.size());
-      Status status = ComputeMisses(miss_frames, resolution, contrast_scale, miss_counts);
+      Status status = ComputeMisses(miss_frames, resolution, column_contrast, miss_counts);
       {
         util::MutexLock lock(&col.mu);
         if (status.ok()) {

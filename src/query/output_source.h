@@ -18,8 +18,10 @@
 // Storage: one direct-mapped column per (resolution, contrast) pair, created
 // on first touch, at every dataset size — a flat counts[num_frames] array
 // plus ready/in-flight bitmaps, about 4.25 bytes per dataset frame. Contrast
-// is quantized to 1/4096 steps (QuantizeContrast), the same quantization the
-// profiler groups by, so contrasts in one step share a column. Frames index
+// is quantized to 1/4096 steps (detect::QuantizeContrast), the same
+// quantization the profiler groups by, and a column's counts are computed at
+// its own quantized contrast, so every contrast in one step reads the same
+// counts whichever request filled the column first. Frames index
 // the column directly: there is no hashing, so two distinct (frame,
 // resolution, contrast) triples can never alias.
 //
@@ -44,7 +46,6 @@
 #define SMOKESCREEN_QUERY_OUTPUT_SOURCE_H_
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -65,17 +66,6 @@ namespace util {
 class ThreadPool;
 }  // namespace util
 namespace query {
-
-/// Contrast steps per unit of contrast scale. The memo, its store records
-/// and the profiler's candidate groups all key contrast by
-/// QuantizeContrast, so contrasts in one 1/kContrastSteps step share a
-/// column.
-inline constexpr double kContrastSteps = 4096.0;
-
-/// `contrast_scale` quantized to 1/kContrastSteps steps.
-inline int64_t QuantizeContrast(double contrast_scale) {
-  return std::llround(contrast_scale * kContrastSteps);
-}
 
 /// Reusable columnar result buffer. Callers that grow a sample prefix
 /// incrementally (the profiler's nested-prefix reuse chain) append batch
@@ -103,7 +93,8 @@ class FrameOutputSource {
 
   /// Raw counts for `frame_indices` written into `out` (same length, same
   /// order). The claimed misses are computed by ONE CountBatch invocation
-  /// per batch chunk (see set_max_batch_size).
+  /// per batch chunk (see set_max_batch_size), at the column's contrast
+  /// QuantizeContrast(contrast_scale) / kContrastSteps.
   /// Duplicate frames, unsorted lists and empty lists are all fine. A frame
   /// outside the dataset (OutOfRange) or a resolution the model rejects
   /// (InvalidArgument) fails the whole request before anything is claimed
@@ -167,7 +158,7 @@ class FrameOutputSource {
   /// (preloaded entries were never computed in this run). Returns the number
   /// of entries installed. Preloading a salvaged store is how a damaged
   /// store heals: requests recompute what was quarantined as ordinary
-  /// misses, at their own exact contrast.
+  /// misses, at the column's contrast.
   util::Result<int64_t> Preload(const OutputStore& store);
 
   /// Total UDF invocations that missed the cache (the paper's N_model).

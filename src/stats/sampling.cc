@@ -34,30 +34,6 @@ Result<std::vector<int64_t>> SampleWithoutReplacement(int64_t population, int64_
   return pool;
 }
 
-Result<std::vector<int64_t>> SampleWithoutReplacementSorted(int64_t population, int64_t n,
-                                                            Rng& rng) {
-  if (population < 0 || n < 0) {
-    return Status::InvalidArgument("population and n must be non-negative");
-  }
-  if (n > population) {
-    return Status::InvalidArgument("sample size " + std::to_string(n) +
-                                   " exceeds population " + std::to_string(population));
-  }
-  // Sequential selection sampling: walk the population once, include item i
-  // with probability (remaining_needed / remaining_items).
-  std::vector<int64_t> out;
-  out.reserve(static_cast<size_t>(n));
-  int64_t needed = n;
-  for (int64_t i = 0; i < population && needed > 0; ++i) {
-    int64_t remaining = population - i;
-    if (rng.NextDouble() * static_cast<double>(remaining) < static_cast<double>(needed)) {
-      out.push_back(i);
-      --needed;
-    }
-  }
-  return out;
-}
-
 int64_t FractionToCount(int64_t population, double fraction) {
   if (fraction <= 0.0 || population <= 0) return 0;
   if (fraction >= 1.0) return population;

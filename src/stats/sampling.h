@@ -28,11 +28,6 @@ namespace stats {
 util::Result<std::vector<int64_t>> SampleWithoutReplacement(int64_t population, int64_t n,
                                                             Rng& rng);
 
-/// Same, but the result is sorted ascending; uses sequential selection
-/// sampling (Vitter's Algorithm S) so memory is O(n) not O(population).
-util::Result<std::vector<int64_t>> SampleWithoutReplacementSorted(int64_t population, int64_t n,
-                                                                  Rng& rng);
-
 /// Converts a sample fraction in (0, 1] and population size to a sample
 /// count, always at least 1 when the fraction is positive.
 int64_t FractionToCount(int64_t population, double fraction);

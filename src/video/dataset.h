@@ -5,11 +5,9 @@
 #define SMOKESCREEN_VIDEO_DATASET_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "util/status.h"
 #include "video/scene_index.h"
 #include "video/types.h"
 
@@ -41,8 +39,8 @@ class VideoDataset {
   const std::vector<Frame>& frames() const { return frames_; }
 
   /// Class-partitioned columnar view of the frames (CSR layout), built once
-  /// at construction. The detectors' batched kernel walks these columns
-  /// instead of the AoS object lists; see video/scene_index.h.
+  /// at construction. Code outside video/ reads scene objects only through
+  /// these columns, never the AoS object lists; see video/scene_index.h.
   const SceneIndex& scene_index() const { return scene_index_; }
 
   const std::vector<SequenceInfo>& sequences() const { return sequences_; }
@@ -52,14 +50,6 @@ class VideoDataset {
 
   /// Mean ground-truth count of `cls` per frame.
   double GtMeanCount(ObjectClass cls) const;
-
-  /// Extracts a sub-dataset covering one sequence (frames are copied;
-  /// frame ids are preserved so detector outputs stay identical).
-  util::Result<VideoDataset> ExtractSequence(const std::string& sequence_name) const;
-
-  /// Binary serialization, so generated corpora can be cached on disk.
-  util::Status SaveTo(const std::string& path) const;
-  static util::Result<VideoDataset> LoadFrom(const std::string& path);
 
  private:
   std::string name_;

@@ -1,10 +1,12 @@
 // Class-partitioned columnar scene index (CSR layout).
 //
 // The AoS frame representation (Frame::objects, a vector of GtObject) is the
-// natural shape for simulation and serialization, but it is the wrong shape
-// for the detection hot path: counting one class forces a scan over EVERY
-// object of EVERY queried frame, branching on `obj.cls` and gathering the
-// three fields the recall model reads from scattered 32-byte structs.
+// shape the scene simulator emits, but it is the wrong shape for its
+// readers: counting one class forces a scan over EVERY object of EVERY
+// queried frame, branching on `obj.cls` and gathering the three fields the
+// recall model reads from scattered 32-byte structs. So the detectors (batch
+// kernel and scalar reference), the cost model, the frame-skipping scan and
+// the ground-truth statistics all read this index instead.
 //
 // The SceneIndex re-partitions the same objects once, at dataset build time,
 // into per-class structure-of-arrays columns:

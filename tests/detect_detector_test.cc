@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "detect/models.h"
 #include "detect/registry.h"
 #include "video/presets.h"
@@ -101,7 +103,7 @@ TEST(DetectorModelTest, RecallMonotoneInResolutionAwayFromQuirk) {
   obj.contrast = 0.8;
   double prev = 0.0;
   for (int res : {64, 128, 192, 256, 320}) {
-    double recall = yolo.ObjectRecall(obj, res, 608, 1.0);
+    double recall = yolo.ObjectRecall(obj.cls, obj.apparent_size, obj.contrast, res, 608, 1.0);
     EXPECT_GE(recall, prev) << "res " << res;
     prev = recall;
   }
@@ -114,8 +116,8 @@ TEST(DetectorModelTest, ContrastScaleReducesRecall) {
   obj.cls = ObjectClass::kCar;
   obj.apparent_size = 30.0;
   obj.contrast = 0.8;
-  double clean = mask.ObjectRecall(obj, 320, 640, 1.0);
-  double noisy = mask.ObjectRecall(obj, 320, 640, 0.5);
+  double clean = mask.ObjectRecall(obj.cls, obj.apparent_size, obj.contrast, 320, 640, 1.0);
+  double noisy = mask.ObjectRecall(obj.cls, obj.apparent_size, obj.contrast, 320, 640, 0.5);
   EXPECT_LT(noisy, clean);
 }
 
@@ -126,7 +128,8 @@ TEST(DetectorModelTest, MaskRcnnBetterAtSmallObjectsThanYolo) {
   obj.cls = ObjectClass::kCar;
   obj.apparent_size = 18.0;
   obj.contrast = 0.9;
-  EXPECT_GT(mask.ObjectRecall(obj, 320, 640, 1.0), yolo.ObjectRecall(obj, 320, 640, 1.0));
+  EXPECT_GT(mask.ObjectRecall(obj.cls, obj.apparent_size, obj.contrast, 320, 640, 1.0),
+            yolo.ObjectRecall(obj.cls, obj.apparent_size, obj.contrast, 320, 640, 1.0));
 }
 
 TEST(DetectorModelTest, YoloNightAnomalyAt384) {
@@ -234,7 +237,8 @@ TEST(RegistryTest, SsdIsWorseAtSmallObjects) {
   obj.cls = ObjectClass::kCar;
   obj.apparent_size = 20.0;
   obj.contrast = 0.9;
-  EXPECT_LT(ssd.ObjectRecall(obj, 320, 608, 1.0), yolo.ObjectRecall(obj, 320, 608, 1.0));
+  EXPECT_LT(ssd.ObjectRecall(obj.cls, obj.apparent_size, obj.contrast, 320, 608, 1.0),
+            yolo.ObjectRecall(obj.cls, obj.apparent_size, obj.contrast, 320, 608, 1.0));
 }
 
 TEST(RegistryTest, FactoriesMatchClasses) {
@@ -415,6 +419,74 @@ TEST(CountBatchTest, ErrorLeavesOutputUntouched) {
     EXPECT_EQ(out, std::vector<int>(5, 0));
   }
 }
+
+// ---------------------------------------------------------------------------
+// The scalar reference, pinned. CountBatchTest ties the kernel to
+// CountDetections; these digests tie CountDetections to fixed values over
+// every class, three resolutions and two contrasts, for each model on
+// 1,500 frames of each preset. They were recorded from the model's
+// per-frame AoS implementation, which walked Frame::objects, before the
+// reference moved onto the scene index; any change to the draws, their hash
+// words or the index's layout moves one.
+// ---------------------------------------------------------------------------
+
+struct PinnedScalarParam {
+  ScenePreset preset;
+  const char* model;
+  int resolutions[3];
+  uint64_t digest;
+  int64_t detections;
+};
+
+void PrintTo(const PinnedScalarParam& param, std::ostream* os) {
+  *os << video::ScenePresetName(param.preset) << " " << param.model;
+}
+
+class PinnedScalarReferenceTest : public ::testing::TestWithParam<PinnedScalarParam> {};
+
+TEST_P(PinnedScalarReferenceTest, CountsMatchTheirPinnedDigest) {
+  const PinnedScalarParam& param = GetParam();
+  const VideoDataset ds =
+      param.preset == ScenePreset::kNightStreet ? SmallNight() : SmallDetrac();
+  auto model = MakeDetector(param.model);
+  ASSERT_TRUE(model.ok());
+  uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a over the counts.
+  int64_t detections = 0;
+  for (ObjectClass cls : {ObjectClass::kCar, ObjectClass::kPerson, ObjectClass::kFace}) {
+    for (int resolution : param.resolutions) {
+      for (double contrast : {1.0, 0.6}) {
+        for (int64_t f = 0; f < ds.num_frames(); ++f) {
+          auto count = (*model)->CountDetections(ds, f, resolution, cls, contrast);
+          ASSERT_TRUE(count.ok());
+          digest = (digest ^ static_cast<uint64_t>(*count)) * 0x100000001b3ULL;
+          detections += *count;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest, param.digest) << std::hex << digest;
+  EXPECT_EQ(detections, param.detections);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PresetsAndModels, PinnedScalarReferenceTest,
+    ::testing::Values(
+        PinnedScalarParam{ScenePreset::kNightStreet, "yolov4", {96, 384, 608},
+                          0xbde820096a52d131ULL, 12842},
+        PinnedScalarParam{ScenePreset::kNightStreet, "maskrcnn", {128, 384, 640},
+                          0xa599f352685f5822ULL, 12989},
+        PinnedScalarParam{ScenePreset::kNightStreet, "ssd", {96, 384, 512},
+                          0x9681f44bd31dbfbdULL, 7052},
+        PinnedScalarParam{ScenePreset::kNightStreet, "mtcnn", {96, 384, 640},
+                          0xa4fb5ddad8ad3215ULL, 104},
+        PinnedScalarParam{ScenePreset::kUaDetrac, "yolov4", {96, 384, 608},
+                          0x025f5861e9cf060eULL, 65831},
+        PinnedScalarParam{ScenePreset::kUaDetrac, "maskrcnn", {128, 384, 640},
+                          0xaa0c9cde45a20326ULL, 80841},
+        PinnedScalarParam{ScenePreset::kUaDetrac, "ssd", {96, 384, 512},
+                          0x21268d5634b0dfbfULL, 46682},
+        PinnedScalarParam{ScenePreset::kUaDetrac, "mtcnn", {96, 384, 640},
+                          0xb2b31a2a4f40cfb8ULL, 207}));
 
 }  // namespace
 }  // namespace detect

@@ -389,15 +389,15 @@ TEST(EngineRuntimeTest, DamagedStoreHealsThroughTheWarmStart) {
       << (*workload)->warm_start_damage();
   EXPECT_EQ((*workload)->warm_start_entries(), 0);
 
-  // The request recomputes its lost frames as misses, at contrast 0.9.
-  // Frame 20985 tells that apart from a recompute at the column's quantized
-  // contrast, 3686/4096: the model counts 6 cars there at 0.9 and 5 at
-  // 3686/4096.
+  // The request recomputes its lost frames as misses, at the column's
+  // contrast: 0.9 quantized to 3686/4096. Frame 20985 tells that apart from
+  // a recompute at the exact 0.9: the model counts 6 cars there at 0.9 and 5
+  // at 3686/4096.
   std::vector<int> counts(kFrames);
   ASSERT_TRUE((*workload)->source().FillCounts(frames, 608, 0.9, counts).ok());
   EXPECT_EQ((*workload)->source().model_invocations(), kFrames);
   EXPECT_EQ(counts, cold_counts);
-  EXPECT_EQ(counts[20985], 6);
+  EXPECT_EQ(counts[20985], 5);
   const int64_t probe = 20985;
   int quantized = 0;
   ASSERT_TRUE((*workload)

@@ -6,18 +6,26 @@
 //  P2  The bound is (stochastically) non-increasing in the sample fraction.
 //  P3  The repaired bound covers the truth even under systematic bias.
 //  P4  Y_approx's harmonic construction satisfies Theorem 3.1's algebra.
-//  P5  Profiler reuse produces identical outputs to fresh estimation.
-//  P6  Dataset serialization round-trips.
+//  P5  The quantile (MAX/MIN) bound covers the realized rank error.
+//  P6  ResultErrorEst is deterministic given its rng seed, and cached
+//      outputs equal fresh ones.
+//  P7  The scene index is an exact re-partitioning of the AoS frames.
+//  P8  The readers that moved from the AoS frames onto the scene index
+//      compute exactly what their AoS definitions do.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 #include <ostream>
+#include <vector>
 
 #include "core/avg_estimator.h"
+#include "core/candidate_design.h"
 #include "core/estimator_api.h"
 #include "core/quantile_estimator.h"
 #include "core/repair.h"
+#include "degrade/cost_model.h"
 #include "degrade/degraded_view.h"
 #include "detect/models.h"
 #include "query/executor.h"
@@ -344,9 +352,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineDeterminismProperty,
 // ---------------------------------------------------------------------------
 // P7: the columnar scene index is an exact re-partitioning of the AoS
 // frames — same objects, same per-(frame, class) order, same field values
-// bit for bit — plus faithful flat per-frame columns. The batch kernel
-// reads ONLY the index, so this bijection is what lets it be bit-identical
-// to the AoS scalar path.
+// bit for bit — plus faithful flat per-frame columns. The batch kernel and
+// the scalar reference read ONLY the index, so this bijection is what ties
+// their counts to the AoS frames.
 // ---------------------------------------------------------------------------
 
 struct SceneIndexParam {
@@ -425,6 +433,124 @@ TEST_P(SceneIndexPartitionProperty, IndexIsExactRepartitionOfFrames) {
 
 INSTANTIATE_TEST_SUITE_P(
     PresetsAndSeeds, SceneIndexPartitionProperty,
+    ::testing::Values(SceneIndexParam{ScenePreset::kNightStreet, 1u},
+                      SceneIndexParam{ScenePreset::kNightStreet, 97u},
+                      SceneIndexParam{ScenePreset::kNightStreet, 20260806u},
+                      SceneIndexParam{ScenePreset::kUaDetrac, 1u},
+                      SceneIndexParam{ScenePreset::kUaDetrac, 97u},
+                      SceneIndexParam{ScenePreset::kUaDetrac, 20260806u}));
+
+// ---------------------------------------------------------------------------
+// P8: the readers ported from the AoS frames onto the scene index equal, with
+// ==, an AoS loop over frames() that restates each one's definition: the
+// ground-truth statistics, EstimateSavings' face count over the candidate
+// grid's resolutions and restricted sets, and the frame-skipping scan.
+// ---------------------------------------------------------------------------
+
+class IndexReaderProperty : public ::testing::TestWithParam<SceneIndexParam> {};
+
+TEST_P(IndexReaderProperty, PortedReadersMatchTheirAosDefinitions) {
+  video::SceneConfig config = video::PresetConfig(GetParam().preset);
+  config.seed = GetParam().seed;
+  config.num_frames = 1200;
+  auto ds = video::SimulateScene(config);
+  ds.status().CheckOk();
+  const video::VideoDataset& dataset = *ds;
+  const std::vector<video::Frame>& frames = dataset.frames();
+  const double num_frames = static_cast<double>(frames.size());
+
+  for (int c = 0; c < video::kNumObjectClasses; ++c) {
+    const auto cls = static_cast<ObjectClass>(c);
+    int64_t containing = 0;
+    int64_t total = 0;
+    for (const video::Frame& frame : frames) {
+      if (frame.ContainsGt(cls)) ++containing;
+      total += frame.CountGt(cls);
+    }
+    EXPECT_EQ(dataset.GtContainmentFraction(cls), static_cast<double>(containing) / num_frames)
+        << "class " << c;
+    EXPECT_EQ(dataset.GtMeanCount(cls), static_cast<double>(total) / num_frames)
+        << "class " << c;
+  }
+
+  // At sample fraction 1 every eligible frame is transmitted, so the
+  // recognizable share is recognizable eligible faces over all faces.
+  detect::SimYoloV4 yolo;
+  detect::SimMtcnn mtcnn;
+  auto prior = detect::ClassPriorIndex::Build(dataset, yolo, mtcnn);
+  ASSERT_TRUE(prior.ok());
+  auto resolutions = ResolutionCandidates(yolo, 10);
+  ASSERT_TRUE(resolutions.ok());
+  int64_t grid_faces = 0;
+  for (int resolution : *resolutions) {
+    for (const video::ClassSet& restricted : RestrictedClassCandidates()) {
+      degrade::InterventionSet iv;
+      iv.resolution = resolution;
+      iv.restricted = restricted;
+      auto savings = degrade::EstimateSavings(dataset, *prior, iv, yolo.max_resolution());
+      ASSERT_TRUE(savings.ok());
+      std::vector<bool> eligible(frames.size(), false);
+      for (int64_t f : prior->FramesWithoutAny(restricted)) eligible[static_cast<size_t>(f)] = true;
+      const double res_ratio =
+          static_cast<double>(resolution) / static_cast<double>(yolo.max_resolution());
+      int64_t faces = 0;
+      int64_t recognizable = 0;
+      for (size_t f = 0; f < frames.size(); ++f) {
+        for (const video::GtObject& obj : frames[f].objects) {
+          if (obj.cls != ObjectClass::kFace) continue;
+          ++faces;
+          if (eligible[f] && obj.apparent_size * res_ratio * iv.contrast_scale >=
+                                 degrade::kFaceRecognitionSizePx) {
+            ++recognizable;
+          }
+        }
+      }
+      const double want =
+          faces == 0 ? 0.0 : static_cast<double>(recognizable) / static_cast<double>(faces);
+      EXPECT_EQ(savings->faces_recognizable_fraction, want) << iv.ToString();
+      grid_faces += recognizable;
+    }
+  }
+  EXPECT_GT(grid_faces, 0);
+
+  // The scan processes a frame that starts the dataset or a sequence, or
+  // whose target-class track ids differ from the last processed frame's;
+  // every other frame reuses that frame's output.
+  for (ObjectClass target : {ObjectClass::kCar, ObjectClass::kPerson}) {
+    query::QuerySpec spec;
+    spec.target_class = target;
+    query::FrameOutputSource source(dataset, yolo, target);
+    auto scan = query::AllOutputsWithSkipping(source, spec, 320);
+    ASSERT_TRUE(scan.ok());
+    std::vector<int64_t> all_frames(frames.size());
+    std::iota(all_frames.begin(), all_frames.end(), int64_t{0});
+    query::OutputColumn all;
+    ASSERT_TRUE(source.AppendOutputs(spec, all_frames, 320, 1.0, all).ok());
+    int64_t processed = 0;
+    size_t last = 0;
+    std::vector<int64_t> last_tracks;
+    std::vector<double> want_outputs;
+    for (size_t f = 0; f < frames.size(); ++f) {
+      std::vector<int64_t> tracks;
+      for (const video::GtObject& obj : frames[f].objects) {
+        if (obj.cls == target) tracks.push_back(obj.track_id);
+      }
+      if (f == 0 || frames[f].sequence_id != frames[f - 1].sequence_id || tracks != last_tracks) {
+        ++processed;
+        last = f;
+        last_tracks = std::move(tracks);
+      }
+      want_outputs.push_back(all.outputs[last]);
+    }
+    EXPECT_GT(scan->skipped, 0) << video::ObjectClassName(target);
+    EXPECT_EQ(scan->skipped, static_cast<int64_t>(frames.size()) - processed)
+        << video::ObjectClassName(target);
+    EXPECT_EQ(scan->outputs, want_outputs) << video::ObjectClassName(target);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PresetsAndSeeds, IndexReaderProperty,
     ::testing::Values(SceneIndexParam{ScenePreset::kNightStreet, 1u},
                       SceneIndexParam{ScenePreset::kNightStreet, 97u},
                       SceneIndexParam{ScenePreset::kNightStreet, 20260806u},

@@ -1,6 +1,7 @@
 // FrameOutputSource memo correctness: every (frame, resolution, contrast)
-// key resolves to its own detector output, contrast shares a column within
-// one 1/4096 step, hit and invocation accounting stay exact under
+// key resolves to its own detector output, contrasts within one 1/4096 step
+// share a column and read its counts whichever request filled it first, hit
+// and invocation accounting stay exact under
 // concurrent overlapping callers and pooled miss batches, lock-free hits
 // see counts published by other threads, contiguous ranges claim exactly
 // their own frames, exports are byte-identical whatever the request order
@@ -85,6 +86,58 @@ TEST_F(OutputSourceTest, ContrastIsQuantizedAt4096Steps) {
   ASSERT_TRUE(Count(*source_, 1, 320, 0.51).ok());
   EXPECT_EQ(source_->model_invocations(), 2);
   EXPECT_EQ(source_->cache_hits(), 1);
+}
+
+TEST_F(OutputSourceTest, OneContrastStepReadsTheColumnsCountsInEitherOrder) {
+  // 0.9 and 3686/4096 fall in one 1/4096 step, so they share a column, and
+  // the column computes its misses at its own contrast, 3686/4096, whichever
+  // request fills it first. Frame 20985 of 100,000 UA-DETRAC frames tells
+  // the two contrasts apart: the model counts 6 cars there at 0.9 and 5 at
+  // 3686/4096.
+  auto large = video::MakePresetScaled(ScenePreset::kUaDetrac, 100'000);
+  ASSERT_TRUE(large.ok());
+  constexpr int64_t kFrame = 20985;
+  constexpr double kOffGrid = 0.9;
+  constexpr double kColumnContrast = 3686.0 / 4096.0;
+  auto off_grid = yolo_.CountDetections(*large, kFrame, 608, ObjectClass::kCar, kOffGrid);
+  auto column = yolo_.CountDetections(*large, kFrame, 608, ObjectClass::kCar, kColumnContrast);
+  ASSERT_TRUE(off_grid.ok() && column.ok());
+  ASSERT_EQ(*off_grid, 6);
+  ASSERT_EQ(*column, 5);
+  for (bool off_grid_first : {true, false}) {
+    SCOPED_TRACE(off_grid_first ? "0.9 first" : "3686/4096 first");
+    FrameOutputSource source(*large, yolo_, ObjectClass::kCar);
+    auto first = Count(source, kFrame, 608, off_grid_first ? kOffGrid : kColumnContrast);
+    auto second = Count(source, kFrame, 608, off_grid_first ? kColumnContrast : kOffGrid);
+    ASSERT_TRUE(first.ok() && second.ok());
+    EXPECT_EQ(*first, 5);
+    EXPECT_EQ(*second, 5);
+    EXPECT_EQ(source.model_invocations(), 1);
+  }
+}
+
+TEST_F(OutputSourceTest, ScatteredAndPooledMissesComputeAtTheColumnsContrast) {
+  // The claim rounds of a scattered request and the chunks of a pooled one
+  // count at the column's contrast too: at 0.9 each frame reads what
+  // CountBatch counts at 3686/4096, frame 20985's 5 included (6 at 0.9).
+  auto large = video::MakePresetScaled(ScenePreset::kUaDetrac, 100'000);
+  ASSERT_TRUE(large.ok());
+  std::vector<int64_t> frames = {20985};
+  for (int64_t f = 0; f < 127; ++f) frames.push_back(2 * f);
+  std::vector<int> want(frames.size());
+  ASSERT_TRUE(
+      yolo_.CountBatch(*large, frames, 608, ObjectClass::kCar, 3686.0 / 4096.0, want).ok());
+  ASSERT_EQ(want[0], 5);
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* width : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(width == nullptr ? "serial" : "pooled");
+    FrameOutputSource source(*large, yolo_, ObjectClass::kCar);
+    source.set_thread_pool(width);
+    auto counts = Counts(source, frames, 608, 0.9);
+    ASSERT_TRUE(counts.ok());
+    EXPECT_EQ(*counts, want);
+    EXPECT_EQ(source.model_invocations(), static_cast<int64_t>(frames.size()));
+  }
 }
 
 TEST_F(OutputSourceTest, EveryTripleMatchesDirectDetectorCall) {
@@ -398,7 +451,7 @@ TEST_F(OutputSourceTest, PreloadSkipsColumnsTheModelRejects) {
   OutputColumnRecord invalid;
   invalid.resolution = 7;
   invalid.cls = static_cast<int>(ObjectClass::kCar);
-  invalid.contrast_q = QuantizeContrast(1.0);
+  invalid.contrast_q = detect::QuantizeContrast(1.0);
   invalid.frames = {0, 1};
   invalid.counts = {3, 4};
   store.AddColumn(invalid);

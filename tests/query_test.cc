@@ -10,6 +10,7 @@
 #include "query/output_source.h"
 #include "query/query_spec.h"
 #include "video/presets.h"
+#include "video/scene_simulator.h"
 
 namespace smokescreen {
 namespace query {
@@ -208,6 +209,38 @@ TEST_F(OutputSourceTest, SkippingScanCoversDatasetAndSaves) {
   if (sum_exact > 0) {
     EXPECT_LT(std::abs(sum_skipped - sum_exact) / sum_exact, 0.05);
   }
+}
+
+TEST(SkippingScanTest, EverySequenceStartsARun) {
+  // With no people in the scene every frame's person track set is empty, so
+  // only a sequence boundary makes the scan process a frame: it runs the
+  // model on each sequence's first frame, and every other frame of the
+  // sequence reuses that output.
+  video::SceneConfig config = video::PresetConfig(ScenePreset::kUaDetrac);
+  config.num_frames = 600;
+  config.num_sequences = 6;
+  config.person_rate = 0.0;
+  auto ds = video::SimulateScene(config);
+  ASSERT_TRUE(ds.ok());
+  ASSERT_EQ(ds->GtMeanCount(ObjectClass::kPerson), 0.0);
+  detect::SimYoloV4 yolo;
+  FrameOutputSource source(*ds, yolo, ObjectClass::kPerson);
+  QuerySpec spec;
+  spec.target_class = ObjectClass::kPerson;
+  auto scan = AllOutputsWithSkipping(source, spec, 608);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->skipped, 600 - 6);
+  EXPECT_EQ(source.model_invocations(), 6);
+  ASSERT_EQ(ds->sequences().size(), 6u);
+  for (const video::SequenceInfo& seq : ds->sequences()) {
+    auto first = Count(source, seq.first_frame, 608);
+    ASSERT_TRUE(first.ok());
+    for (int64_t f = seq.first_frame; f < seq.first_frame + seq.num_frames; ++f) {
+      EXPECT_EQ(scan->outputs[static_cast<size_t>(f)], static_cast<double>(*first))
+          << "frame " << f;
+    }
+  }
+  EXPECT_EQ(source.model_invocations(), 6);
 }
 
 TEST_F(OutputSourceTest, GroundTruthMatchesManualAggregate) {

@@ -151,43 +151,6 @@ TEST(SampleWithoutReplacementTest, FirstDrawIsUniform) {
   }
 }
 
-TEST(SampleWithoutReplacementSortedTest, SortedDistinctInRange) {
-  Rng rng(8);
-  auto result = SampleWithoutReplacementSorted(1000, 100, rng);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->size(), 100u);
-  EXPECT_TRUE(std::is_sorted(result->begin(), result->end()));
-  EXPECT_TRUE(std::adjacent_find(result->begin(), result->end()) == result->end());
-  EXPECT_GE(result->front(), 0);
-  EXPECT_LT(result->back(), 1000);
-}
-
-TEST(SampleWithoutReplacementSortedTest, ExactCountEvenInTail) {
-  // Selection sampling must always deliver exactly n items.
-  Rng rng(9);
-  for (int trial = 0; trial < 200; ++trial) {
-    auto result = SampleWithoutReplacementSorted(37, 36, rng);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->size(), 36u);
-  }
-}
-
-TEST(SampleWithoutReplacementSortedTest, MarginalInclusionIsUniform) {
-  const int64_t kPop = 15, kSample = 4;
-  const int kTrials = 20000;
-  std::vector<int> inclusion(kPop, 0);
-  Rng rng(10);
-  for (int t = 0; t < kTrials; ++t) {
-    auto result = SampleWithoutReplacementSorted(kPop, kSample, rng);
-    ASSERT_TRUE(result.ok());
-    for (int64_t idx : *result) ++inclusion[static_cast<size_t>(idx)];
-  }
-  double expected = static_cast<double>(kSample) / kPop;
-  for (int64_t i = 0; i < kPop; ++i) {
-    EXPECT_NEAR(static_cast<double>(inclusion[static_cast<size_t>(i)]) / kTrials, expected, 0.02);
-  }
-}
-
 TEST(FractionToCountTest, RoundsAndClamps) {
   EXPECT_EQ(FractionToCount(1000, 0.1), 100);
   EXPECT_EQ(FractionToCount(1000, 1.0), 1000);
